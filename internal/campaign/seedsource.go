@@ -67,12 +67,12 @@ type flatUniform struct {
 // snapshot validation compare against it.
 const StrategyUniform = "uniform"
 
-func (f flatUniform) Strategy() string                  { return StrategyUniform }
-func (f flatUniform) Corpus() []*jimple.Class           { return f.seeds }
-func (f flatUniform) Pick(rng *rand.Rand, n int) int    { return rng.Intn(n) }
-func (f flatUniform) Observe(int, bool, bool)           {}
-func (f flatUniform) Grew(int, int)                     {}
-func (f flatUniform) MarshalState() ([]byte, error)     { return nil, nil }
+func (f flatUniform) Strategy() string               { return StrategyUniform }
+func (f flatUniform) Corpus() []*jimple.Class        { return f.seeds }
+func (f flatUniform) Pick(rng *rand.Rand, n int) int { return rng.Intn(n) }
+func (f flatUniform) Observe(int, bool, bool)        {}
+func (f flatUniform) Grew(int, int)                  {}
+func (f flatUniform) MarshalState() ([]byte, error)  { return nil, nil }
 
 // seedCorpus returns the configured initial corpus (nil-safe).
 func (c *Config) seedCorpus() []*jimple.Class {

@@ -89,10 +89,10 @@ type Snapshot struct {
 // accepted mutants — the content fingerprint of the classfile bytes,
 // which Resume checks against the rebuilt bytes.
 type GenEntry struct {
-	Iter     int  `json:"iter"`
-	Stmts    int  `json:"stmts,omitempty"`
-	Branches int  `json:"branches,omitempty"`
-	Accepted bool `json:"accepted,omitempty"`
+	Iter     int    `json:"iter"`
+	Stmts    int    `json:"stmts,omitempty"`
+	Branches int    `json:"branches,omitempty"`
+	Accepted bool   `json:"accepted,omitempty"`
 	Fp       uint64 `json:"fp,omitempty"`
 }
 

@@ -15,6 +15,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/campaign"
 	"repro/internal/coverage"
 	"repro/internal/difftest"
 	"repro/internal/fuzz"
@@ -85,22 +86,43 @@ var CampaignOrder = []string{
 	KeyUniquefuzz, KeyGreedyfuzz, KeyRandfuzz,
 }
 
-// Session holds the shared campaign results. It is a service.Session
-// — the same folding aggregate the classfuzzd daemon uses for its
-// shard epochs — plus the experiment-specific seed corpus: Campaigns,
-// the shared outcome Memo (Tables 6 and 7 overlap heavily, so a class
-// executes once per VM across the whole session) and the Telemetry
-// roll-up promote from the embedded session.
+// Session holds the shared campaign results. It embeds a
+// service.Session — the same folding aggregate the classfuzzd daemon
+// uses for its shard epochs, whose Telemetry roll-up promotes from it —
+// and adds what only the tables read: the experiment seed corpus, the
+// folded results and the shared outcome memo.
 type Session struct {
 	Scale     Scale
 	Seeds     []*jimple.Class
 	SeedFiles [][]byte
+	// Campaigns maps a campaign key (e.g. KeyClassfuzzSTBR) to its
+	// result.
+	Campaigns map[string]*campaign.Result
+	// Memo is the outcome memo shared by every differential evaluation
+	// of the session: Tables 6 and 7 overlap heavily, so a class
+	// executes once per VM across the whole session.
+	Memo *difftest.OutcomeMemo
 	*service.Session
+
+	mu sync.Mutex
 }
 
 // diffRunner builds a standard five-VM runner wired to the session's
 // shared outcome memo and metrics roll-up.
-func (s *Session) diffRunner() *difftest.Runner { return s.Runner() }
+func (s *Session) diffRunner() *difftest.Runner {
+	r := s.Runner()
+	r.Memo = s.Memo
+	return r
+}
+
+// fold records one finished campaign under key and folds it into the
+// embedded service session.
+func (s *Session) fold(key string, res *campaign.Result, reg *telemetry.Registry) {
+	s.mu.Lock()
+	s.Campaigns[key] = res
+	s.mu.Unlock()
+	s.Session.Fold(res, reg)
+}
 
 // NewSession generates seeds and runs all six campaigns.
 func NewSession(s Scale) (*Session, error) {
@@ -150,8 +172,11 @@ func NewSession(s Scale) (*Session, error) {
 
 	sess := &Session{
 		Scale: s, Seeds: seeds, SeedFiles: seedFiles,
-		Session: service.NewSession(s.Telemetry),
+		Campaigns: map[string]*campaign.Result{},
+		Memo:      difftest.NewOutcomeMemo(),
+		Session:   service.NewSession(s.Telemetry),
 	}
+	sess.Memo.UseTelemetry(sess.Telemetry)
 	type job struct {
 		key   string
 		alg   fuzz.Algorithm
@@ -185,7 +210,7 @@ func NewSession(s Scale) (*Session, error) {
 				}
 				return
 			}
-			sess.Fold(j.key, res, reg)
+			sess.fold(j.key, res, reg)
 		}(j)
 	}
 	wg.Wait()

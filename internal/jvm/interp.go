@@ -275,13 +275,13 @@ func (ex *execState) callMethod(m *classfile.Member, args []value) (value, *java
 			stackPush(&stack, nullVal())
 		case bytecode.IconstM1, bytecode.Iconst0, bytecode.Iconst1, bytecode.Iconst2,
 			bytecode.Iconst3, bytecode.Iconst4, bytecode.Iconst5:
-			stackPush(&stack, intVal(int64(op) - int64(bytecode.Iconst0)))
+			stackPush(&stack, intVal(int64(op)-int64(bytecode.Iconst0)))
 		case bytecode.Lconst0, bytecode.Lconst1:
-			stackPush(&stack, longVal(int64(op - bytecode.Lconst0)))
+			stackPush(&stack, longVal(int64(op-bytecode.Lconst0)))
 		case bytecode.Fconst0, bytecode.Fconst1, bytecode.Fconst2:
-			stackPush(&stack, floatVal(float64(op - bytecode.Fconst0)))
+			stackPush(&stack, floatVal(float64(op-bytecode.Fconst0)))
 		case bytecode.Dconst0, bytecode.Dconst1:
-			stackPush(&stack, doubleVal(float64(op - bytecode.Dconst0)))
+			stackPush(&stack, doubleVal(float64(op-bytecode.Dconst0)))
 		case bytecode.Bipush, bytecode.Sipush:
 			stackPush(&stack, intVal(int64(in.Imm)))
 		case bytecode.Ldc, bytecode.LdcW, bytecode.Ldc2W:
@@ -455,22 +455,22 @@ func (ex *execState) callMethod(m *classfile.Member, args []value) (value, *java
 			stackPush(&stack, value{kind: a.kind, f: -a.f})
 		case bytecode.Ishl:
 			b, a := pop(), pop()
-			stackPush(&stack, intVal(int64(int32(a.i) << (uint(b.i) & 31))))
+			stackPush(&stack, intVal(int64(int32(a.i)<<(uint(b.i)&31))))
 		case bytecode.Ishr:
 			b, a := pop(), pop()
-			stackPush(&stack, intVal(int64(int32(a.i) >> (uint(b.i) & 31))))
+			stackPush(&stack, intVal(int64(int32(a.i)>>(uint(b.i)&31))))
 		case bytecode.Iushr:
 			b, a := pop(), pop()
-			stackPush(&stack, intVal(int64(int32(uint32(a.i) >> (uint(b.i) & 31)))))
+			stackPush(&stack, intVal(int64(int32(uint32(a.i)>>(uint(b.i)&31)))))
 		case bytecode.Lshl:
 			b, a := pop(), pop()
-			stackPush(&stack, longVal(a.i << (uint(b.i) & 63)))
+			stackPush(&stack, longVal(a.i<<(uint(b.i)&63)))
 		case bytecode.Lshr:
 			b, a := pop(), pop()
-			stackPush(&stack, longVal(a.i >> (uint(b.i) & 63)))
+			stackPush(&stack, longVal(a.i>>(uint(b.i)&63)))
 		case bytecode.Lushr:
 			b, a := pop(), pop()
-			stackPush(&stack, longVal(int64(uint64(a.i) >> (uint(b.i) & 63))))
+			stackPush(&stack, longVal(int64(uint64(a.i)>>(uint(b.i)&63))))
 		case bytecode.Iand, bytecode.Land:
 			b, a := pop(), pop()
 			stackPush(&stack, value{kind: a.kind, i: a.i & b.i})

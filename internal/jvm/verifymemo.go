@@ -38,8 +38,10 @@ type VerifyIdent struct {
 	Oracle VerifyOracle
 }
 
-// sig is the ident's stable on-disk signature, mirroring the difftest
-// memo's identSig discipline (FNV-64a over the printed spec).
+// sig is the ident's stable on-disk signature: FNV-64a over the printed
+// spec, so any policy drift changes it. Printing the spec is costly
+// next to a map probe; exporters compute it once per ident, not once
+// per entry.
 func (id VerifyIdent) sig() uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%+v|%d|%d", id.Spec, int(id.Env), int(id.Oracle))
@@ -81,11 +83,17 @@ type verifyMemoKey struct {
 // copied out on every hit — so a shared entry can be read without
 // holding the memo lock.
 type verifyEntry struct {
+	out   Outcome // the rejection when !ok
+	stmts []uint32
+	edges []uint32
+	// seq is the entry's insertion sequence number (1-based). An
+	// upgrade to a probe-carrying entry keeps it: the verdict is the
+	// same, so an exporter that already emitted it need not again.
+	seq uint64
+	// The flags sit together so the entry fits the 128-byte size
+	// class.
 	ok        bool
-	out       Outcome // the rejection when !ok
 	hasProbes bool
-	stmts     []uint32
-	edges     []uint32
 }
 
 // VerifyMemo memoises per-method verification verdicts across mutant
@@ -102,6 +110,7 @@ type verifyEntry struct {
 type VerifyMemo struct {
 	mu  sync.Mutex
 	m   map[verifyMemoKey]*verifyEntry
+	seq uint64 // sequence number of the newest entry
 	reg *telemetry.Registry
 	tel verifyMemoTel
 }
@@ -206,7 +215,12 @@ func (m *VerifyMemo) store(id VerifyIdent, key MethodKey, selfName string, out *
 	}
 	k := verifyMemoKey{id: id, key: key}
 	m.mu.Lock()
-	if old, ok := m.m[k]; !ok || (!old.hasProbes && hasProbes) {
+	if old, ok := m.m[k]; !ok {
+		m.seq++
+		e.seq = m.seq
+		m.m[k] = e
+	} else if !old.hasProbes && hasProbes {
+		e.seq = old.seq
 		m.m[k] = e
 	}
 	m.mu.Unlock()
@@ -274,43 +288,57 @@ type VerifyMemoExportEntry struct {
 	Outcome *Outcome `json:"outcome,omitempty"`
 }
 
-// Export snapshots every verdict in a deterministic order (sorted by
-// signature, then key), so persisting an equal memo always produces
-// identical bytes.
-func (m *VerifyMemo) Export() []VerifyMemoExportEntry {
+// Seq returns the sequence number of the newest verdict: the mark
+// after which ExportSince reports only verdicts stored from now on.
+func (m *VerifyMemo) Seq() uint64 {
 	m.mu.Lock()
-	out := make([]VerifyMemoExportEntry, 0, len(m.m))
-	for k, e := range m.m { //detlint:ok entries sorted before emission
-		ent := VerifyMemoExportEntry{
-			Sig:   k.id.sig(),
-			KeyLo: k.key.Lo,
-			KeyHi: k.key.Hi,
-			OK:    e.ok,
+	defer m.mu.Unlock()
+	return m.seq
+}
+
+// ExportSince returns every verdict stored after mark (0 exports the
+// whole memo), in insertion order, and the mark that continues the
+// stream. Appending each call's entries to a journal and replaying the
+// journal through Import reproduces the memo, so persisting costs the
+// verdicts stored since the last export, not the memo's size.
+func (m *VerifyMemo) ExportSince(mark uint64) ([]VerifyMemoExportEntry, uint64) {
+	type pending struct {
+		k verifyMemoKey
+		e *verifyEntry
+	}
+	m.mu.Lock()
+	next := m.seq
+	var ps []pending
+	for k, e := range m.m { //detlint:ok entries sorted by sequence number before emission
+		if e.seq > mark {
+			ps = append(ps, pending{k, e})
 		}
-		if !e.ok {
-			o := e.out
-			ent.Outcome = &o
-		}
-		out = append(out, ent)
 	}
 	m.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Sig != out[j].Sig {
-			return out[i].Sig < out[j].Sig
+	sort.Slice(ps, func(i, j int) bool { return ps[i].e.seq < ps[j].e.seq })
+	sigs := make(map[VerifyIdent]uint64, 8)
+	out := make([]VerifyMemoExportEntry, len(ps))
+	for i, p := range ps {
+		sig, ok := sigs[p.k.id]
+		if !ok {
+			sig = p.k.id.sig()
+			sigs[p.k.id] = sig
 		}
-		if out[i].KeyLo != out[j].KeyLo {
-			return out[i].KeyLo < out[j].KeyLo
+		out[i] = VerifyMemoExportEntry{Sig: sig, KeyLo: p.k.key.Lo, KeyHi: p.k.key.Hi, OK: p.e.ok}
+		if !p.e.ok {
+			o := p.e.out
+			out[i].Outcome = &o
 		}
-		return out[i].KeyHi < out[j].KeyHi
-	})
-	return out
+	}
+	return out, next
 }
 
 // Import adopts exported verdicts whose signature matches one of the
 // given VMs' identities (runtime-verifier oracle only — the importer
-// has no dataflow callers today, and unknown signatures are dropped
-// exactly like the difftest memo drops retired lineups). Returns how
-// many verdicts were adopted.
+// has no dataflow callers today). Unknown signatures, a drifted or
+// retired lineup, are dropped rather than misattributed. Adopted
+// verdicts take fresh sequence numbers in entry order. Returns how many
+// verdicts were adopted.
 func (m *VerifyMemo) Import(entries []VerifyMemoExportEntry, vms []*VM) int {
 	bySig := make(map[uint64]VerifyIdent, len(vms))
 	for _, vm := range vms {
@@ -332,7 +360,8 @@ func (m *VerifyMemo) Import(entries []VerifyMemoExportEntry, vms []*VM) int {
 		if _, exists := m.m[k]; exists {
 			continue
 		}
-		e := &verifyEntry{ok: ent.OK}
+		m.seq++
+		e := &verifyEntry{ok: ent.OK, seq: m.seq}
 		if !ent.OK {
 			e.out = *ent.Outcome
 		}

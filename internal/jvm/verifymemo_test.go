@@ -127,8 +127,9 @@ func TestVerifyMemoRecorderlessEquivalence(t *testing.T) {
 
 // TestVerifyMemoExportImportRoundTrip pins persistence: exporting a
 // populated memo, importing into a fresh one against the same lineup,
-// and re-exporting must reproduce the identical entry list, and the
-// imported memo must serve recorder-less runs with identical outcomes.
+// and re-exporting must reproduce the identical entry list. Exports
+// are incremental: a second export from the returned mark is empty
+// until new verdicts are stored, and then carries exactly those.
 func TestVerifyMemoExportImportRoundTrip(t *testing.T) {
 	corpus := memoCorpus(t)
 	memo := jvm.NewVerifyMemo()
@@ -139,20 +140,41 @@ func TestVerifyMemoExportImportRoundTrip(t *testing.T) {
 		vms = append(vms, vm)
 	}
 	for _, vm := range vms {
-		for _, data := range corpus[:40] {
+		for _, data := range corpus[:20] {
 			vm.Run(data)
 		}
 	}
-	exp := memo.Export()
+	exp, mark := memo.ExportSince(0)
 	if len(exp) == 0 {
 		t.Fatal("export produced no entries")
 	}
+	if mark != memo.Seq() {
+		t.Fatalf("export mark %d, memo seq %d", mark, memo.Seq())
+	}
+	if again, _ := memo.ExportSince(mark); len(again) != 0 {
+		t.Fatalf("idle memo exported %d entries past its mark", len(again))
+	}
+	for _, vm := range vms {
+		for _, data := range corpus[20:40] {
+			vm.Run(data)
+		}
+	}
+	delta, mark2 := memo.ExportSince(mark)
+	if len(delta) != memo.Len()-len(exp) || mark2 != memo.Seq() {
+		t.Fatalf("delta export carried %d entries (mark %d), memo grew by %d (seq %d)",
+			len(delta), mark2, memo.Len()-len(exp), memo.Seq())
+	}
+	exp = append(exp, delta...)
+
 	fresh := jvm.NewVerifyMemo()
 	if n := fresh.Import(exp, vms); n != len(exp) {
 		t.Fatalf("import adopted %d of %d entries", n, len(exp))
 	}
-	if again := fresh.Export(); !reflect.DeepEqual(exp, again) {
+	if again, _ := fresh.ExportSince(0); !reflect.DeepEqual(exp, again) {
 		t.Fatalf("round-trip changed the export: %d vs %d entries", len(exp), len(again))
+	}
+	if n := fresh.Import(exp, vms); n != 0 {
+		t.Fatalf("re-import adopted %d already-present entries", n)
 	}
 	// Unknown signatures (a drifted lineup) are dropped, not adopted.
 	drifted := jvm.New(jvm.HotSpot9())

@@ -7,37 +7,50 @@ import (
 	"path/filepath"
 
 	"repro/internal/campaign"
-	"repro/internal/seedsel"
 )
 
 // On-disk layout under Config.DataDir:
 //
-//	state.json              — State: config echo, corpus order, shard
-//	                          epoch frontiers, discrepancy log
-//	corpus/subNNNNN.class   — submitted seed classfiles, arrival order
+//	state.json               — State: config echo, submitted count, shard
+//	                           epoch frontiers, next_discrepancy
+//	discrepancies.jsonl      — discrepancy journal, one Discrepancy per
+//	                           line in ID order
+//	corpus/subNNNNN.class    — submitted seed classfiles, arrival order
 //	checkpoints/shard-N.json — ShardCheckpoint per shard (mid-epoch)
-//	memo.json               — difftest.MemoExport of the session memo
+//	memo.jsonl               — verify-memo journal: each line holds the
+//	                           method verdicts stored since the line before
 //
-// Write ordering is the consistency argument: a corpus file and the
-// state.json that names it are persisted BEFORE the seed becomes
-// visible to shards, so no shard checkpoint can ever reference a seed
-// the disk does not hold. state.json is rewritten after every fold
-// (shard epoch frontier advance) and every accepted submission; shard
-// checkpoints whose Epoch is behind the state frontier are stale relics
-// of those races and are ignored at load. All files are written to a
-// temp name in the same directory and renamed into place, so a kill -9
-// at any instant leaves either the old or the new version, never a
-// torn one.
+// Every write costs what changed, not what the daemon has accumulated:
+// state.json is fixed-size, a fold appends its own discrepancies, a
+// checkpoint appends only the new memo verdicts.
+//
+// Write ordering is the consistency argument. A corpus file is written
+// before the state.json that counts it, inside the critical section
+// that makes the seed visible to shards, so no shard checkpoint can
+// reference a seed the disk does not hold. A fold appends its
+// discrepancies to the journal and only then replaces state.json with
+// the advanced frontier and next_discrepancy: next_discrepancy is the
+// commit point, and a load reads exactly that many journal lines and
+// truncates the rest — lines of a fold whose state.json never landed,
+// which the re-run epoch appends again. Shard checkpoints whose Epoch
+// is behind the state frontier are stale relics of checkpoint/fold
+// races and are ignored at load. state.json and checkpoints are written
+// to a temp name in the same directory and renamed into place, so a
+// kill -9 at any instant leaves either the old or the new version,
+// never a torn one. memo.jsonl is a cache: a torn last line is cut off
+// at load.
 
 // StateVersion is state.json's format version.
-const StateVersion = 1
+const StateVersion = 2
 
 // ShardCheckpointVersion is the shard checkpoint format version.
 const ShardCheckpointVersion = 1
 
 // State is the daemon's persistent root: enough to validate that a
-// restart's configuration matches the data directory, rebuild the
-// corpus in arrival order, and know each shard's epoch frontier.
+// restart's configuration matches the data directory, reload the
+// corpus, know each shard's epoch frontier and how much of the
+// discrepancy journal is committed. Its size does not grow with the
+// daemon's history.
 type State struct {
 	Version    int    `json:"version"`
 	Algorithm  string `json:"algorithm"`
@@ -47,18 +60,17 @@ type State struct {
 	Iterations int    `json:"iterations"`
 	Shards     int    `json:"shards"`
 	// SeedStrategy is the seed-selection policy the data dir was built
-	// under (empty in pre-strategy states, meaning "uniform").
-	SeedStrategy string `json:"seed_strategy,omitempty"`
-	// Submitted lists corpus file names in arrival order; position is
-	// identity (checkpoints pin a prefix length, not names).
-	Submitted []string `json:"submitted"`
+	// under.
+	SeedStrategy string `json:"seed_strategy"`
+	// Submitted counts adopted corpus files; submission i is
+	// corpus/sub{i:05d}.class (checkpoints pin a prefix length).
+	Submitted int `json:"submitted"`
 	// ShardEpochs[i] is shard i's next epoch to run — every epoch
 	// below it has been folded into the session.
 	ShardEpochs []int `json:"shard_epochs"`
-	// NextDiscrepancy is the next discrepancy ID to assign.
+	// NextDiscrepancy is the next discrepancy ID to assign and the
+	// number of committed discrepancies.jsonl lines.
 	NextDiscrepancy int `json:"next_discrepancy"`
-	// Discrepancies is the accumulated discrepancy log.
-	Discrepancies []Discrepancy `json:"discrepancies"`
 }
 
 // ShardCheckpoint freezes one shard mid-epoch: the engine snapshot
@@ -74,9 +86,9 @@ type ShardCheckpoint struct {
 }
 
 // Discrepancy is one discrepancy-triggering classfile found by a shard
-// epoch. IDs are assigned in fold-arrival order (monotonic within a
-// daemon lifetime, persisted across restarts); the (Shard, Epoch,
-// Class) triple is the deterministic identity.
+// epoch. IDs are assigned in fold-arrival order, from 0 without gaps
+// (persisted across restarts, so entry i of the log has ID i); the
+// (Shard, Epoch, Class) triple is the deterministic identity.
 type Discrepancy struct {
 	ID          int      `json:"id"`
 	Shard       int      `json:"shard"`
@@ -127,17 +139,21 @@ func readJSON(path string, v any) error {
 	return json.Unmarshal(blob, v)
 }
 
-func (m *Manager) statePath() string      { return filepath.Join(m.cfg.DataDir, "state.json") }
-func (m *Manager) memoPath() string       { return filepath.Join(m.cfg.DataDir, "memo.json") }
-func (m *Manager) corpusDir() string      { return filepath.Join(m.cfg.DataDir, "corpus") }
-func (m *Manager) checkpointDir() string  { return filepath.Join(m.cfg.DataDir, "checkpoints") }
+func (m *Manager) statePath() string     { return filepath.Join(m.cfg.DataDir, "state.json") }
+func (m *Manager) discPath() string      { return filepath.Join(m.cfg.DataDir, "discrepancies.jsonl") }
+func (m *Manager) memoPath() string      { return filepath.Join(m.cfg.DataDir, "memo.jsonl") }
+func (m *Manager) corpusDir() string     { return filepath.Join(m.cfg.DataDir, "corpus") }
+func (m *Manager) checkpointDir() string { return filepath.Join(m.cfg.DataDir, "checkpoints") }
 func (m *Manager) checkpointPath(shard int) string {
 	return filepath.Join(m.checkpointDir(), fmt.Sprintf("shard-%d.json", shard))
+}
+func (m *Manager) corpusPath(i int) string {
+	return filepath.Join(m.corpusDir(), fmt.Sprintf("sub%05d.class", i))
 }
 
 // stateLocked builds the current State. Caller holds m.mu.
 func (m *Manager) stateLocked() *State {
-	st := &State{
+	return &State{
 		Version:         StateVersion,
 		Algorithm:       string(m.cfg.Algorithm),
 		Criterion:       int(m.cfg.Criterion),
@@ -146,14 +162,33 @@ func (m *Manager) stateLocked() *State {
 		Iterations:      m.cfg.Iterations,
 		Shards:          m.cfg.Shards,
 		SeedStrategy:    string(m.strategy),
+		Submitted:       len(m.submitted),
 		ShardEpochs:     append([]int(nil), m.shardEpochs...),
-		NextDiscrepancy: m.nextDisc,
-		Discrepancies:   append([]Discrepancy(nil), m.discs...),
+		NextDiscrepancy: len(m.discs),
 	}
-	for _, s := range m.submitted {
-		st.Submitted = append(st.Submitted, s.name)
+}
+
+// commitLocked persists the daemon's state: log entries not yet in the
+// discrepancy journal are appended to it, then state.json is replaced,
+// which commits them. When the append fails nothing is committed, and
+// the next commit retries it. Caller holds m.mu.
+func (m *Manager) commitLocked() error {
+	if pending := m.discs[m.journaled:]; len(pending) > 0 {
+		var buf []byte
+		for i := range pending {
+			line, err := json.Marshal(&pending[i])
+			if err != nil {
+				return err
+			}
+			buf = append(append(buf, line...), '\n')
+		}
+		size, err := appendAt(m.discPath(), m.discSize, buf)
+		if err != nil {
+			return err
+		}
+		m.discSize, m.journaled = size, len(m.discs)
 	}
-	return st
+	return writeJSONAtomic(m.statePath(), m.stateLocked())
 }
 
 // validateState checks that a loaded state matches the manager's
@@ -163,9 +198,6 @@ func (m *Manager) validateState(st *State) error {
 	fail := func(field string, disk, cfg any) error {
 		return fmt.Errorf("service: data dir %s mismatch on %s: disk %v, config %v",
 			m.cfg.DataDir, field, disk, cfg)
-	}
-	if st.Version != StateVersion {
-		return fmt.Errorf("service: state version %d, this build reads %d", st.Version, StateVersion)
 	}
 	if st.Algorithm != string(m.cfg.Algorithm) {
 		return fail("algorithm", st.Algorithm, m.cfg.Algorithm)
@@ -185,15 +217,19 @@ func (m *Manager) validateState(st *State) error {
 	if st.Shards != m.cfg.Shards {
 		return fail("shards", st.Shards, m.cfg.Shards)
 	}
+	if st.SeedStrategy != string(m.strategy) {
+		return fail("seed_strategy", st.SeedStrategy, m.strategy)
+	}
 	if len(st.ShardEpochs) != m.cfg.Shards {
 		return fmt.Errorf("service: state has %d shard frontiers for %d shards", len(st.ShardEpochs), m.cfg.Shards)
 	}
-	diskStrategy := st.SeedStrategy
-	if diskStrategy == "" {
-		diskStrategy = string(seedsel.Uniform) // pre-strategy states were uniform
+	for i, e := range st.ShardEpochs {
+		if e < 0 {
+			return fmt.Errorf("service: state has negative frontier %d for shard %d", e, i)
+		}
 	}
-	if diskStrategy != string(m.strategy) {
-		return fail("seed_strategy", diskStrategy, m.strategy)
+	if st.Submitted < 0 || st.NextDiscrepancy < 0 {
+		return fmt.Errorf("service: state has negative counts (submitted %d, next_discrepancy %d)", st.Submitted, st.NextDiscrepancy)
 	}
 	return nil
 }

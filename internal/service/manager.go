@@ -7,7 +7,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,7 +15,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/classfile"
 	"repro/internal/coverage"
-	"repro/internal/difftest"
 	"repro/internal/jimple"
 	"repro/internal/jvm"
 	"repro/internal/prng"
@@ -33,7 +31,8 @@ const campaignStream = 0x5ec1a55f
 // Config parameterises a daemon.
 type Config struct {
 	// DataDir is the persistent root (created if missing): corpus,
-	// state, shard checkpoints, memo. Required.
+	// state, discrepancy journal, shard checkpoints, memo journal.
+	// Required.
 	DataDir string
 	// Addr is the HTTP listen address (e.g. "127.0.0.1:8317"; use
 	// ":0" for an ephemeral port — Manager.Addr reports the bound
@@ -101,12 +100,6 @@ func (c *Config) withDefaults() Config {
 	return d
 }
 
-// submittedSeed is one adopted corpus submission.
-type submittedSeed struct {
-	name  string
-	class *jimple.Class
-}
-
 // Manager is the daemon: N shards, the folding session, the corpus
 // intake, the checkpoint protocol and the HTTP API.
 type Manager struct {
@@ -116,8 +109,10 @@ type Manager struct {
 	baseSeeds []*jimple.Class
 	strategy  seedsel.Strategy
 
-	mu        sync.Mutex
-	submitted []submittedSeed
+	mu sync.Mutex
+	// submitted is the adopted corpus in arrival order; entry i is
+	// persisted as corpus/sub{i:05d}.class.
+	submitted []*jimple.Class
 	// seedIndex is the intake classification index (nil under the
 	// uniform strategy): the corpus's cluster structure, pinned to the
 	// generated base seeds so cluster identities stay stable as
@@ -125,12 +120,23 @@ type Manager struct {
 	// outcomes across folded epochs, indexed like seedIndex's clusters.
 	seedIndex  *seedsel.Scheduler
 	clusterAgg []clusterTallies
+	// discs is the discrepancy log; discs[i].ID == i. The first
+	// journaled entries are in discrepancies.jsonl, which is discSize
+	// bytes long.
 	discs     []Discrepancy
-	nextDisc  int
+	journaled int
+	discSize  int64
 	// shardEpochs[i] is shard i's fold frontier (next epoch to run).
 	shardEpochs []int
 	discWake    chan struct{}
 	queueHWM    int64
+
+	// memoMu serialises memo.jsonl appends; memoMark is the verify
+	// memo's sequence number as of the last append and memoSize the
+	// journal's length.
+	memoMu   sync.Mutex
+	memoMark uint64
+	memoSize int64
 
 	// drainMu serialises "may an epoch still start?" against Stop:
 	// Stop flips stopping under it, shards install their Control under
@@ -144,6 +150,9 @@ type Manager struct {
 	// intakeGate, when non-nil, blocks the intake worker until the
 	// gate closes (test hook for exercising queue backpressure).
 	intakeGate chan struct{}
+	// foldHook, when non-nil, receives every folded epoch's result
+	// after its commit (test hook: the daemon keeps no results).
+	foldHook func(key string, res *campaign.Result)
 
 	shards   []*shard
 	wg       sync.WaitGroup // shard loops
@@ -232,8 +241,8 @@ func (m *Manager) Start() error {
 		if err != nil {
 			return err
 		}
-		for _, s := range m.submitted {
-			idx.AddSeed(s.class)
+		for _, c := range m.submitted {
+			idx.AddSeed(c)
 		}
 		m.seedIndex = idx
 		m.clusterAgg = make([]clusterTallies, idx.Clusters())
@@ -253,9 +262,9 @@ func (m *Manager) Start() error {
 	// directory is stamped with the configuration it will forever
 	// require.
 	m.mu.Lock()
-	st := m.stateLocked()
+	err = m.commitLocked()
 	m.mu.Unlock()
-	if err := writeJSONAtomic(m.statePath(), st); err != nil {
+	if err != nil {
 		return err
 	}
 
@@ -306,9 +315,10 @@ func (m *Manager) Wait() { m.wg.Wait() }
 
 // Stop drains the daemon: intake answers 503, the HTTP listener shuts
 // down, every running shard epoch is stopped at a coordinator boundary
-// and checkpointed, queued-but-unprocessed seeds are adopted into the
-// corpus, and the memo and state persist. A subsequent Start on the
-// same data directory resumes with byte-identical results.
+// and checkpointed (or, when it already finished, folded),
+// queued-but-unprocessed seeds are adopted into the corpus, and the
+// memo and state persist. A subsequent Start on the same data
+// directory resumes with byte-identical results.
 func (m *Manager) Stop(ctx context.Context) error {
 	var firstErr error
 	m.stopOnce.Do(func() {
@@ -352,9 +362,9 @@ func (m *Manager) Stop(ctx context.Context) error {
 			firstErr = err
 		}
 		m.mu.Lock()
-		st := m.stateLocked()
+		err := m.commitLocked()
 		m.mu.Unlock()
-		if err := writeJSONAtomic(m.statePath(), st); err != nil && firstErr == nil {
+		if err != nil && firstErr == nil {
 			firstErr = err
 		}
 		if m.unlock != nil {
@@ -368,60 +378,46 @@ func (m *Manager) Stop(ctx context.Context) error {
 // --- corpus -----------------------------------------------------------------
 
 // loadState reads state.json (returns false when the directory is
-// fresh), validates it against the configuration and lifts the corpus.
+// fresh), validates it against the configuration, lifts the corpus and
+// loads the committed discrepancy journal.
 func (m *Manager) loadState() (bool, error) {
-	var st State
-	if err := readJSON(m.statePath(), &st); err != nil {
-		if os.IsNotExist(err) {
-			return false, nil
-		}
+	blob, err := os.ReadFile(m.statePath())
+	if os.IsNotExist(err) {
+		return false, m.loadDiscrepancies(0)
+	}
+	if err != nil {
 		return false, err
+	}
+	// The version decides how the rest reads, so it is checked first.
+	var ver struct {
+		Version int `json:"version"`
+	}
+	if err := json.Unmarshal(blob, &ver); err != nil {
+		return false, fmt.Errorf("service: %s: %w", m.statePath(), err)
+	}
+	if ver.Version != StateVersion {
+		return false, fmt.Errorf("service: state version %d, this build reads %d", ver.Version, StateVersion)
+	}
+	var st State
+	if err := json.Unmarshal(blob, &st); err != nil {
+		return false, fmt.Errorf("service: %s: %w", m.statePath(), err)
 	}
 	if err := m.validateState(&st); err != nil {
 		return false, err
 	}
 	copy(m.shardEpochs, st.ShardEpochs)
-	m.discs = append(m.discs, st.Discrepancies...)
-	m.nextDisc = st.NextDiscrepancy
-	m.tel.Gauge(MetricDiscrepancies).Set(int64(len(m.discs)))
-	for _, name := range st.Submitted {
-		data, err := os.ReadFile(filepath.Join(m.corpusDir(), name))
+	for i := 0; i < st.Submitted; i++ {
+		data, err := os.ReadFile(m.corpusPath(i))
 		if err != nil {
-			return false, fmt.Errorf("service: corpus file %s named by state.json: %w", name, err)
+			return false, fmt.Errorf("service: corpus file counted by state.json: %w", err)
 		}
 		c, err := liftSeed(data)
 		if err != nil {
-			return false, fmt.Errorf("service: corpus file %s: %w", name, err)
+			return false, fmt.Errorf("service: corpus file %s: %w", m.corpusPath(i), err)
 		}
-		m.submitted = append(m.submitted, submittedSeed{name: name, class: c})
+		m.submitted = append(m.submitted, c)
 	}
-	return true, nil
-}
-
-// loadMemo imports memo.json into the session memos (the whole-class
-// outcome memo and the method-granular verify memo), if present.
-func (m *Manager) loadMemo() error {
-	var exp difftest.MemoExport
-	if err := readJSON(m.memoPath(), &exp); err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return err
-	}
-	vms := difftest.NewStandardRunner().VMs
-	n, err := m.session.Memo.Import(&exp, vms)
-	if err != nil {
-		return err
-	}
-	nv := m.session.VerifyMemo.Import(exp.Verify, vms)
-	m.logf("memo: adopted %d cached outcomes, %d method verdicts from %s", n, nv, m.memoPath())
-	return nil
-}
-
-func (m *Manager) persistMemo() error {
-	exp := m.session.Memo.Export()
-	exp.Verify = m.session.VerifyMemo.Export()
-	return writeJSONAtomic(m.memoPath(), exp)
+	return true, m.loadDiscrepancies(st.NextDiscrepancy)
 }
 
 // liftSeed validates submission bytes all the way to the class model
@@ -436,9 +432,9 @@ func liftSeed(data []byte) (*jimple.Class, error) {
 
 // acceptSeed persists one queued submission and makes it visible to
 // future epochs. Persist-before-visibility: the corpus file and the
-// state.json naming it hit disk inside the same critical section that
-// appends to the in-memory corpus, so no epoch can start on a seed a
-// restart would not reload.
+// state.json counting it hit disk inside the same critical section
+// that appends to the in-memory corpus, so no epoch can start on a seed
+// a restart would not reload.
 func (m *Manager) acceptSeed(data []byte) {
 	c, err := liftSeed(data)
 	if err != nil {
@@ -448,21 +444,21 @@ func (m *Manager) acceptSeed(data []byte) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	name := fmt.Sprintf("sub%05d.class", len(m.submitted))
-	if err := os.WriteFile(filepath.Join(m.corpusDir(), name), data, 0o644); err != nil {
-		m.logf("intake: persisting %s: %v", name, err)
+	path := m.corpusPath(len(m.submitted))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		m.logf("intake: persisting %s: %v", path, err)
 		return
 	}
-	m.submitted = append(m.submitted, submittedSeed{name: name, class: c})
-	if err := writeJSONAtomic(m.statePath(), m.stateLocked()); err != nil {
+	m.submitted = append(m.submitted, c)
+	if err := m.commitLocked(); err != nil {
 		m.logf("intake: state write: %v", err)
 	}
 	if m.seedIndex != nil {
 		sc := m.seedIndex.AddSeed(c)
-		m.logf("intake: %s classified into cluster %d (fp %016x)", name, sc.Cluster, sc.Fingerprint)
+		m.logf("intake: %s classified into cluster %d (fp %016x)", path, sc.Cluster, sc.Fingerprint)
 	}
 	m.tel.Counter(MetricSeedsAccepted).Inc()
-	m.logf("intake: adopted %s (%d submitted seeds)", name, len(m.submitted))
+	m.logf("intake: adopted %s (%d submitted seeds)", path, len(m.submitted))
 }
 
 // classifySeed reports where intake would place c (ok=false under the
@@ -510,10 +506,7 @@ func (m *Manager) corpusFor(used int) []*jimple.Class {
 	}
 	seeds := make([]*jimple.Class, 0, len(m.baseSeeds)+used)
 	seeds = append(seeds, m.baseSeeds...)
-	for _, s := range m.submitted[:used] {
-		seeds = append(seeds, s.class)
-	}
-	return seeds
+	return append(seeds, m.submitted[:used]...)
 }
 
 func (m *Manager) submittedCount() int {
@@ -642,12 +635,12 @@ func (m *Manager) runShard(sh *shard, cp *ShardCheckpoint) {
 }
 
 // foldEpoch absorbs one completed epoch: session fold, differential
-// testing of the accepted suite against the shared memo, discrepancy
-// log append (each discrepancy credited to the seed cluster its
-// lineage's root seed belongs to), per-cluster scheduling tallies,
-// state-frontier advance and persist.
+// testing of the accepted suite, discrepancy log append (each
+// discrepancy credited to the seed cluster its lineage's root seed
+// belongs to), per-cluster scheduling tallies, state-frontier advance
+// and commit. The result is dropped afterwards.
 func (m *Manager) foldEpoch(sh *shard, epoch int, res *campaign.Result, reg *telemetry.Registry, sched *seedsel.Scheduler) {
-	m.session.Fold(shardKey(sh.id, epoch), res, reg)
+	m.session.Fold(res, reg)
 	m.tel.Counter(MetricShardMerges).Inc()
 	m.tel.Counter(MetricEpochsCompleted).Inc()
 
@@ -698,8 +691,7 @@ func (m *Manager) foldEpoch(sh *shard, epoch int, res *campaign.Result, reg *tel
 		}
 	}
 	for i := range found {
-		found[i].ID = m.nextDisc
-		m.nextDisc++
+		found[i].ID = len(m.discs) + i
 	}
 	m.discs = append(m.discs, found...)
 	m.shardEpochs[sh.id] = epoch + 1
@@ -708,13 +700,15 @@ func (m *Manager) foldEpoch(sh *shard, epoch int, res *campaign.Result, reg *tel
 		close(m.discWake)
 		m.discWake = make(chan struct{})
 	}
-	st := m.stateLocked()
-	if err := writeJSONAtomic(m.statePath(), st); err != nil {
-		m.logf("fold: state write: %v", err)
+	if err := m.commitLocked(); err != nil {
+		m.logf("fold: commit: %v", err)
 	}
 	m.mu.Unlock()
 	// The epoch is folded; its checkpoint (if any) is now stale.
 	os.Remove(m.checkpointPath(sh.id))
+	if m.foldHook != nil {
+		m.foldHook(shardKey(sh.id, epoch), res)
+	}
 	m.logf("shard %d: epoch %d folded (%d tests, %d discrepancies, session coverage %s)",
 		sh.id, epoch, len(res.Test), len(found), m.session.Coverage())
 }
@@ -723,7 +717,7 @@ func (m *Manager) foldEpoch(sh *shard, epoch int, res *campaign.Result, reg *tel
 
 // checkpointShard snapshots a shard's running epoch (stopping it when
 // stop is set) and persists the checkpoint. Reports whether a
-// checkpoint was written.
+// checkpoint was written; every one written is restorable.
 func (m *Manager) checkpointShard(sh *shard, stop bool) bool {
 	ctrl, epoch, used := sh.handles()
 	if ctrl == nil {
@@ -735,7 +729,9 @@ func (m *Manager) checkpointShard(sh *shard, stop bool) bool {
 	} else {
 		snap = ctrl.Snapshot()
 	}
-	if snap == nil {
+	if snap == nil || snap.Committed >= snap.Iterations {
+		// The epoch finished: it folds on its own, which would make
+		// this checkpoint stale before a restart could restore it.
 		return false
 	}
 	cp := &ShardCheckpoint{
@@ -860,15 +856,22 @@ func (m *Manager) Status() Status {
 
 // Discrepancies returns the log entries with ID >= since.
 func (m *Manager) Discrepancies(since int) []Discrepancy {
+	ds, _, _ := m.discrepanciesSince(since)
+	return ds
+}
+
+// discrepanciesSince returns the log entries with ID >= since, the next
+// ID to assign and the channel closed when entries arrive, all read in
+// one critical section: the entries run contiguously from since to
+// next-1.
+func (m *Manager) discrepanciesSince(since int) ([]Discrepancy, int, chan struct{}) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := []Discrepancy{}
-	for _, d := range m.discs {
-		if d.ID >= since {
-			out = append(out, d)
-		}
+	if since < len(m.discs) {
+		out = append(out, m.discs[since:]...)
 	}
-	return out
+	return out, len(m.discs), m.discWake
 }
 
 // liveSnapshot merges the session roll-up with every running epoch's

@@ -12,13 +12,14 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/coverage"
-	"repro/internal/difftest"
 	"repro/internal/jimple"
+	"repro/internal/jvm"
 	"repro/internal/seedgen"
 )
 
@@ -39,23 +40,9 @@ func testConfig(t *testing.T, workers int) Config {
 	}
 }
 
-// runToCompletion starts a manager, waits for the epoch budget and
-// stops it, returning the folded session.
-func runToCompletion(t *testing.T, cfg Config) (*Session, *Manager) {
-	t.Helper()
-	m := New(cfg)
-	if err := m.Start(); err != nil {
-		t.Fatalf("start: %v", err)
-	}
-	m.Wait()
-	if err := m.Stop(context.Background()); err != nil {
-		t.Fatalf("stop: %v", err)
-	}
-	return m.Session(), m
-}
-
-// sessionSummary reduces a session to comparable facts: per fold key,
-// the accepted test names and bytes plus the draw log length.
+// foldSummary reduces one folded epoch to comparable facts: the
+// accepted test names and bytes plus the draw log and generation
+// lengths.
 type foldSummary struct {
 	TestNames []string
 	TestBytes [][]byte
@@ -63,19 +50,53 @@ type foldSummary struct {
 	GenCount  int
 }
 
-func summarize(s *Session) map[string]foldSummary {
-	out := map[string]foldSummary{}
-	for key, res := range s.Campaigns {
-		var fs foldSummary
+// foldLog collects a manager's folded epochs, keyed "shardN/epochM",
+// through its fold hook (the daemon itself keeps no results).
+type foldLog struct {
+	mu    sync.Mutex
+	folds map[string]foldSummary
+}
+
+func (l *foldLog) summary() map[string]foldSummary {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := make(map[string]foldSummary, len(l.folds))
+	for k, v := range l.folds {
+		out[k] = v
+	}
+	return out
+}
+
+// newManager builds a manager whose folds are recorded.
+func newManager(cfg Config) (*Manager, *foldLog) {
+	m := New(cfg)
+	l := &foldLog{folds: map[string]foldSummary{}}
+	m.foldHook = func(key string, res *campaign.Result) {
+		fs := foldSummary{Draws: len(res.Draws), GenCount: len(res.Gen)}
 		for _, g := range res.Test {
 			fs.TestNames = append(fs.TestNames, g.Name)
 			fs.TestBytes = append(fs.TestBytes, g.Data)
 		}
-		fs.Draws = len(res.Draws)
-		fs.GenCount = len(res.Gen)
-		out[key] = fs
+		l.mu.Lock()
+		l.folds[key] = fs
+		l.mu.Unlock()
 	}
-	return out
+	return m, l
+}
+
+// runToCompletion starts a manager, waits for the epoch budget and
+// stops it, returning its folds.
+func runToCompletion(t *testing.T, cfg Config) (*foldLog, *Manager) {
+	t.Helper()
+	m, l := newManager(cfg)
+	if err := m.Start(); err != nil {
+		t.Fatalf("start: %v", err)
+	}
+	m.Wait()
+	if err := m.Stop(context.Background()); err != nil {
+		t.Fatalf("stop: %v", err)
+	}
+	return l, m
 }
 
 // discSet reduces the discrepancy log to its deterministic identity
@@ -111,7 +132,9 @@ func unionSummaries(t *testing.T, runs ...map[string]foldSummary) map[string]fol
 // checkpoints) and restarted on the same data directory must produce,
 // across both lifetimes, the exact folds an uninterrupted daemon
 // produces — per-epoch accepted suites byte-identical, discrepancy
-// sets equal — at worker counts 1 and 4.
+// sets equal — at worker counts 1 and 4. Every checkpoint the drain
+// writes is one the restart restores: a drained epoch either folds or
+// checkpoints, never both.
 func TestDaemonKillResumeDeterminism(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		workers := workers
@@ -123,7 +146,7 @@ func TestDaemonKillResumeDeterminism(t *testing.T) {
 			// checkpoints, then restart the same data directory and run
 			// to completion.
 			cfg := testConfig(t, workers)
-			m1 := New(cfg)
+			m1, l1 := newManager(cfg)
 			if err := m1.Start(); err != nil {
 				t.Fatalf("start: %v", err)
 			}
@@ -132,7 +155,7 @@ func TestDaemonKillResumeDeterminism(t *testing.T) {
 				t.Fatalf("drain: %v", err)
 			}
 
-			m2 := New(cfg)
+			m2, l2 := newManager(cfg)
 			if err := m2.Start(); err != nil {
 				t.Fatalf("restart: %v", err)
 			}
@@ -141,20 +164,19 @@ func TestDaemonKillResumeDeterminism(t *testing.T) {
 				t.Fatalf("final stop: %v", err)
 			}
 
-			got := unionSummaries(t, summarize(m1.Session()), summarize(m2.Session()))
-			if !reflect.DeepEqual(got, summarize(want)) {
+			got := unionSummaries(t, l1.summary(), l2.summary())
+			if !reflect.DeepEqual(got, want.summary()) {
 				t.Fatal("interrupted+resumed folds diverge from the uninterrupted run")
 			}
-			// The discrepancy log persists in state.json, so the final
+			// The discrepancy log persists in its journal, so the final
 			// daemon's view covers both lifetimes.
 			if !reflect.DeepEqual(discSet(m2.Discrepancies(0)), discSet(wm.Discrepancies(0))) {
 				t.Fatal("resumed daemon discrepancy set diverges from uninterrupted run")
 			}
-			// The restart must resume whatever the drain checkpointed.
-			if w := m1.Session().Telemetry.Snapshot().Counter(MetricCheckpointsWritten); w > 0 {
-				if r := m2.Session().Telemetry.Snapshot().Counter(MetricCheckpointsRestored); r == 0 {
-					t.Fatalf("drain wrote %d checkpoints but restart restored none", w)
-				}
+			// The restart resumes exactly what the drain checkpointed.
+			w := m1.Session().Telemetry.Snapshot().Counter(MetricCheckpointsWritten)
+			if r := m2.Session().Telemetry.Snapshot().Counter(MetricCheckpointsRestored); r != w {
+				t.Fatalf("drain wrote %d checkpoints, restart restored %d", w, r)
 			}
 		})
 	}
@@ -169,7 +191,7 @@ func TestDaemonStaleCheckpointIgnored(t *testing.T) {
 	want, _ := runToCompletion(t, testConfig(t, 2))
 
 	cfg := testConfig(t, 2)
-	m1 := New(cfg)
+	m1, l1 := newManager(cfg)
 	if err := m1.Start(); err != nil {
 		t.Fatalf("start: %v", err)
 	}
@@ -180,7 +202,7 @@ func TestDaemonStaleCheckpointIgnored(t *testing.T) {
 		t.Fatalf("stop: %v", err)
 	}
 
-	m2 := New(cfg)
+	m2, l2 := newManager(cfg)
 	if err := m2.Start(); err != nil {
 		t.Fatalf("restart: %v", err)
 	}
@@ -188,11 +210,11 @@ func TestDaemonStaleCheckpointIgnored(t *testing.T) {
 	if err := m2.Stop(context.Background()); err != nil {
 		t.Fatalf("final stop: %v", err)
 	}
-	if n := len(m2.Session().Campaigns); n != 0 {
+	if n := len(l2.summary()); n != 0 {
 		t.Fatalf("restart re-folded %d epochs of a completed daemon", n)
 	}
-	got := unionSummaries(t, summarize(m1.Session()), summarize(m2.Session()))
-	if !reflect.DeepEqual(got, summarize(want)) {
+	got := unionSummaries(t, l1.summary(), l2.summary())
+	if !reflect.DeepEqual(got, want.summary()) {
 		t.Fatal("completed run's folds diverge from the uninterrupted run")
 	}
 }
@@ -425,7 +447,7 @@ func TestSubmittedSeedsEnterEpochs(t *testing.T) {
 
 	// Pre-seed the data dir with one submission by writing through a
 	// live manager's queue before the first epoch can finish.
-	m := New(cfg)
+	m, l := newManager(cfg)
 	if err := m.Start(); err != nil {
 		t.Fatalf("start: %v", err)
 	}
@@ -439,9 +461,9 @@ func TestSubmittedSeedsEnterEpochs(t *testing.T) {
 		t.Fatalf("stop: %v", err)
 	}
 
-	for key, res := range m.Session().Campaigns {
-		if n := len(res.Draws); n != cfg.Iterations {
-			t.Fatalf("%s: %d draws, want %d", key, n, cfg.Iterations)
+	for key, fs := range l.summary() {
+		if fs.Draws != cfg.Iterations {
+			t.Fatalf("%s: %d draws, want %d", key, fs.Draws, cfg.Iterations)
 		}
 	}
 	if subs := m.submittedCount(); subs != 1 {
@@ -519,38 +541,50 @@ func TestDataDirLock(t *testing.T) {
 	}
 }
 
-// TestMemoPersistsMethodVerdicts pins the daemon's memo.json contract
-// for the method-verification memo: a completed run persists
-// verify_outcomes alongside the whole-class outcomes, and a restart on
-// the same data directory adopts every verdict and re-persists the
-// file byte-identically (export order is canonical, import is
-// lossless).
+// TestMemoPersistsMethodVerdicts pins the daemon's memo.jsonl
+// contract: a completed run persists method verdicts, each verdict in
+// exactly one journal line, and a restart on the same data directory
+// adopts every verdict and, having stored none, leaves the journal
+// byte-identical.
 func TestMemoPersistsMethodVerdicts(t *testing.T) {
 	cfg := testConfig(t, 2)
 	runToCompletion(t, cfg)
 
-	memoPath := filepath.Join(cfg.DataDir, "memo.json")
+	memoPath := filepath.Join(cfg.DataDir, "memo.jsonl")
 	first, err := os.ReadFile(memoPath)
 	if err != nil {
-		t.Fatalf("memo.json missing after run: %v", err)
+		t.Fatalf("memo.jsonl missing after run: %v", err)
 	}
-	var exp difftest.MemoExport
-	if err := json.Unmarshal(first, &exp); err != nil {
-		t.Fatal(err)
+	keys := map[[3]uint64]bool{}
+	for _, line := range bytes.SplitAfter(first, []byte("\n")) {
+		if len(line) == 0 {
+			continue
+		}
+		var batch []jvm.VerifyMemoExportEntry
+		if err := json.Unmarshal(line, &batch); err != nil {
+			t.Fatalf("memo.jsonl line %q: %v", line, err)
+		}
+		for _, e := range batch {
+			k := [3]uint64{e.Sig, e.KeyLo, e.KeyHi}
+			if keys[k] {
+				t.Fatalf("verdict %x journaled twice", k)
+			}
+			keys[k] = true
+		}
 	}
-	if len(exp.Verify) == 0 {
-		t.Fatal("memo.json carries no method verdicts")
+	if len(keys) == 0 {
+		t.Fatal("memo.jsonl carries no method verdicts")
 	}
 
 	// Restart on the exhausted directory: loadMemo adopts, no epochs
-	// run, Stop re-persists.
+	// run, Stop appends nothing.
 	m2 := New(cfg)
 	if err := m2.Start(); err != nil {
 		t.Fatal(err)
 	}
 	m2.Wait()
-	if got := m2.Session().VerifyMemo.Len(); got != len(exp.Verify) {
-		t.Fatalf("restart adopted %d method verdicts, persisted %d", got, len(exp.Verify))
+	if got := m2.Session().VerifyMemo.Len(); got != len(keys) {
+		t.Fatalf("restart adopted %d method verdicts, persisted %d", got, len(keys))
 	}
 	if err := m2.Stop(context.Background()); err != nil {
 		t.Fatal(err)
@@ -560,6 +594,6 @@ func TestMemoPersistsMethodVerdicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(first, second) {
-		t.Fatal("memo.json not byte-identical across an idle restart")
+		t.Fatal("memo.jsonl not byte-identical across an idle restart")
 	}
 }

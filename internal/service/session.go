@@ -20,7 +20,9 @@ import (
 // cmd/report's Service section and the dashboard render these.
 const (
 	// MetricCheckpointsWritten counts shard checkpoints persisted to
-	// disk (periodic timer, API trigger, or drain-on-shutdown).
+	// disk (periodic timer, API trigger, or drain-on-shutdown). An
+	// epoch that already committed every iteration folds instead, so
+	// a drain's checkpoints are exactly the ones a restart restores.
 	MetricCheckpointsWritten = "service.checkpoints.written"
 	// MetricCheckpointsRestored counts shard campaigns resumed from a
 	// checkpoint at daemon startup.
@@ -46,29 +48,23 @@ const (
 
 // Session aggregates campaign results produced by independent runs —
 // the daemon's shard epochs, or the experiment driver's six campaigns
-// — into one view: the folded results map, a shared difftest outcome
-// memo (a class executes once per VM across the whole session), a
-// telemetry roll-up, and the word-OR of every folded campaign's
-// coverage trace. Fold is safe for concurrent use; the exported fields
-// are for direct reading once the producing goroutines have finished.
+// — into one view: a shared method-verification memo, a telemetry
+// roll-up, and the word-OR of every folded campaign's coverage trace.
+// It keeps no folded result: a producer that needs them (the
+// experiment driver's tables) holds its own, so a long-running daemon's
+// memory does not grow with its fold count. Fold is safe for concurrent
+// use; the exported fields are for direct reading once the producing
+// goroutines have finished.
 type Session struct {
 	mu sync.Mutex
 
-	// Campaigns maps a fold key (e.g. "shard0/epoch2" or
-	// "classfuzz[stbr]") to that campaign's result.
-	Campaigns map[string]*campaign.Result
-	// Memo is the outcome memo shared by every differential evaluation
-	// the session performs.
-	Memo *difftest.OutcomeMemo
 	// VerifyMemo is the method-granular verification memo shared by
-	// every session Runner (below Memo: renamed-but-identical lineage
-	// methods hit it even when the whole-class memo misses). It
-	// persists into memo.json next to the outcome memo.
+	// every session Runner. The daemon persists it into memo.jsonl.
 	VerifyMemo *jvm.VerifyMemo
 	// Telemetry is the session-wide metrics roll-up. Campaigns run
 	// against private registries which Fold merges in as they finish,
-	// so campaign.* counters here are totals across all folds; the
-	// shared memo and every session Runner report here directly.
+	// so campaign.* counters here are totals across all folds; every
+	// session Runner reports here directly.
 	Telemetry *telemetry.Registry
 
 	cov    *coverage.Trace
@@ -83,27 +79,22 @@ func NewSession(reg *telemetry.Registry) *Session {
 		reg = telemetry.New()
 	}
 	s := &Session{
-		Campaigns:  map[string]*campaign.Result{},
-		Memo:       difftest.NewOutcomeMemo(),
 		VerifyMemo: jvm.NewVerifyMemo(),
 		Telemetry:  reg,
 		cov:        coverage.NewTrace(),
 	}
-	s.Memo.UseTelemetry(reg)
 	s.VerifyMemo.UseTelemetry(reg)
 	return s
 }
 
-// Fold absorbs one finished campaign: the result is recorded under
-// key, the campaign's private telemetry registry (may be nil) merges
-// into the roll-up, and the campaign's merged coverage trace — when
-// the algorithm produces one — ORs into the session trace. All shards
-// share the process-global probe registry, so trace words are
-// index-compatible across folds.
-func (s *Session) Fold(key string, res *campaign.Result, reg *telemetry.Registry) {
+// Fold absorbs one finished campaign: its private telemetry registry
+// (may be nil) merges into the roll-up, and its merged coverage trace —
+// when the algorithm produces one — ORs into the session trace. All
+// campaigns share the process-global probe registry, so trace words
+// are index-compatible across folds.
+func (s *Session) Fold(res *campaign.Result, reg *telemetry.Registry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.Campaigns[key] = res
 	if reg != nil {
 		s.Telemetry.Merge(reg)
 	}
@@ -114,10 +105,9 @@ func (s *Session) Fold(key string, res *campaign.Result, reg *telemetry.Registry
 }
 
 // Runner builds a standard five-VM differential runner wired to the
-// session's shared outcome memo and metrics roll-up.
+// session's verification memo and metrics roll-up.
 func (s *Session) Runner() *difftest.Runner {
 	r := difftest.NewStandardRunner()
-	r.Memo = s.Memo
 	r.VerifyMemo = s.VerifyMemo
 	jvm.ShareVerifyMemo(r.VMs, s.VerifyMemo)
 	r.UseTelemetry(s.Telemetry)
