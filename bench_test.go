@@ -13,10 +13,10 @@ package classfuzz
 import (
 	"testing"
 
+	"repro/internal/campaign"
 	"repro/internal/coverage"
 	"repro/internal/difftest"
 	"repro/internal/experiments"
-	"repro/internal/fuzz"
 	"repro/internal/jimple"
 	"repro/internal/jvm"
 	"repro/internal/mcmc"
@@ -151,9 +151,9 @@ func BenchmarkFigure4(b *testing.B) {
 func BenchmarkAblationMCMC(b *testing.B) {
 	seeds := seedgen.Generate(seedgen.DefaultOptions(30, 5))
 	for i := 0; i < b.N; i++ {
-		run := func(alg fuzz.Algorithm) int {
-			res, err := fuzz.Run(fuzz.Config{
-				Algorithm: alg, Criterion: coverage.STBR, Source: fuzz.FlatSeeds(seeds),
+		run := func(alg campaign.Algorithm) int {
+			res, err := campaign.Run(campaign.Config{
+				Algorithm: alg, Criterion: coverage.STBR, Source: campaign.FlatSeeds(seeds),
 				Iterations: 300, Rand: int64(i) + 11, RefSpec: jvm.HotSpot9(),
 			})
 			if err != nil {
@@ -161,8 +161,8 @@ func BenchmarkAblationMCMC(b *testing.B) {
 			}
 			return len(res.Test)
 		}
-		mc := run(fuzz.Classfuzz)
-		un := run(fuzz.Uniquefuzz)
+		mc := run(campaign.Classfuzz)
+		un := run(campaign.Uniquefuzz)
 		b.ReportMetric(float64(mc), "mcmc_tests")
 		b.ReportMetric(float64(un), "uniform_tests")
 	}
@@ -177,8 +177,8 @@ func BenchmarkAblationCriterion(b *testing.B) {
 			crit coverage.Criterion
 			name string
 		}{{coverage.ST, "st_tests"}, {coverage.STBR, "stbr_tests"}, {coverage.TR, "tr_tests"}} {
-			res, err := fuzz.Run(fuzz.Config{
-				Algorithm: fuzz.Classfuzz, Criterion: c.crit, Source: fuzz.FlatSeeds(seeds),
+			res, err := campaign.Run(campaign.Config{
+				Algorithm: campaign.Classfuzz, Criterion: c.crit, Source: campaign.FlatSeeds(seeds),
 				Iterations: 300, Rand: 11, RefSpec: jvm.HotSpot9(),
 			})
 			if err != nil {
@@ -195,8 +195,8 @@ func BenchmarkAblationSeedPool(b *testing.B) {
 	seeds := seedgen.Generate(seedgen.DefaultOptions(30, 5))
 	for i := 0; i < b.N; i++ {
 		run := func(noRecycle bool) int {
-			res, err := fuzz.Run(fuzz.Config{
-				Algorithm: fuzz.Classfuzz, Criterion: coverage.STBR, Source: fuzz.FlatSeeds(seeds),
+			res, err := campaign.Run(campaign.Config{
+				Algorithm: campaign.Classfuzz, Criterion: coverage.STBR, Source: campaign.FlatSeeds(seeds),
 				Iterations: 300, Rand: 11, RefSpec: jvm.HotSpot9(),
 				NoSeedRecycling: noRecycle,
 			})
@@ -224,8 +224,8 @@ func BenchmarkAblationP(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		for _, pc := range ps {
-			res, err := fuzz.Run(fuzz.Config{
-				Algorithm: fuzz.Classfuzz, Criterion: coverage.STBR, Source: fuzz.FlatSeeds(seeds),
+			res, err := campaign.Run(campaign.Config{
+				Algorithm: campaign.Classfuzz, Criterion: coverage.STBR, Source: campaign.FlatSeeds(seeds),
 				Iterations: 300, Rand: 11, RefSpec: jvm.HotSpot9(), P: pc.p,
 			})
 			if err != nil {

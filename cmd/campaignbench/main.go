@@ -1,9 +1,9 @@
 // Command campaignbench measures campaign-engine throughput over a
-// (workers × batch) grid and writes the results as JSON (the
-// `make bench` artifact BENCH_campaign.json). The workload is
-// classfuzz[stbr] at the experiments package's default scale; because
-// the engine is deterministic in everything but wall clock, every cell
-// of the grid fuzzes the identical campaign.
+// worker-count sweep and writes the results as JSON (the `make bench`
+// artifact BENCH_campaign.json). The workload is classfuzz[stbr] at the
+// experiments package's default scale; because the engine is
+// deterministic in everything but wall clock, every row of the sweep
+// fuzzes the identical campaign.
 //
 // Besides wall-clock throughput each row records the allocation cost of
 // one campaign (allocs/op and bytes/op in the testing.B sense, measured
@@ -13,7 +13,7 @@
 // Usage:
 //
 //	campaignbench [-seeds N] [-iters N] [-seed N] [-workers 1,4,8]
-//	              [-batch 1,8,32] [-repeat N] [-out BENCH_campaign.json]
+//	              [-repeat N] [-out BENCH_campaign.json]
 //	              [-cpuprofile FILE] [-memprofile FILE] [-topallocs N]
 package main
 
@@ -39,7 +39,6 @@ import (
 
 type row struct {
 	Workers      int     `json:"workers"`
-	Batch        int     `json:"batch"`
 	Iterations   int     `json:"iterations"`
 	Tests        int     `json:"tests"`
 	MillisTotal  float64 `json:"millis_total"`
@@ -51,13 +50,13 @@ type row struct {
 	// resolution, §4.10 method verification — where the verify memo
 	// bites) and the rest of the startup pipeline (loading,
 	// initialization, runtime). Measured on one extra
-	// telemetry-instrumented campaign per cell from the per-phase
+	// telemetry-instrumented campaign per row from the per-phase
 	// jvm.<spec>.phase.*_ns histograms, so the timed repeats above stay
 	// uninstrumented.
 	MicrosVerify  float64 `json:"micros_verify_per_test"`
 	MicrosExecute float64 `json:"micros_execute_per_test"`
-	// Speedup is relative to the grid's first cell (the first -workers
-	// entry at the first -batch entry).
+	// Speedup is relative to the sweep's first row (the first -workers
+	// entry).
 	Speedup float64 `json:"speedup_vs_1"`
 	// AllocsPerOp / BytesPerOp are the heap allocation count and bytes
 	// of one full campaign (lowest across repeats), matching what
@@ -95,8 +94,7 @@ func main() {
 	iters := flag.Int("iters", 400, "campaign iterations")
 	seed := flag.Int64("seed", 1, "random seed")
 	workersList := flag.String("workers", "1,4,8", "comma-separated worker counts to sweep")
-	batchList := flag.String("batch", "1,8,32", "comma-separated dispatch batch sizes to sweep")
-	repeat := flag.Int("repeat", 3, "campaigns per grid cell (best time wins)")
+	repeat := flag.Int("repeat", 3, "campaigns per worker count (best time wins)")
 	out := flag.String("out", "BENCH_campaign.json", "output file")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile (after the sweep) to this file")
@@ -104,7 +102,6 @@ func main() {
 	flag.Parse()
 
 	workers := parseList("-workers", *workersList)
-	batches := parseList("-batch", *batchList)
 	if *memprofile != "" {
 		// Sample every allocation so the site report is a census, not an
 		// extrapolation. Set before the workload touches the heap.
@@ -127,7 +124,7 @@ func main() {
 
 	seeds := seedgen.Generate(seedgen.DefaultOptions(*seedCount, *seed))
 	rep := report{
-		Benchmark:  "campaign/classfuzz[stbr]+prefilter",
+		Benchmark:  "campaign/classfuzz[stbr]",
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 		Seeds:      *seedCount,
@@ -137,70 +134,65 @@ func main() {
 
 	var base float64
 	for _, w := range workers {
-		for _, b := range batches {
-			cfg := campaign.Config{
-				Algorithm:       campaign.Classfuzz,
-				Criterion:       coverage.STBR,
-				Source:          campaign.FlatSeeds(seeds),
-				Iterations:      *iters,
-				Rand:            *seed,
-				RefSpec:         jvm.HotSpot9(),
-				StaticPrefilter: true,
-				Workers:         w,
-				Batch:           b,
-			}
-			best := time.Duration(0)
-			var bestAllocs, bestBytes uint64
-			var last *campaign.Result
-			for r := 0; r < *repeat; r++ {
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				start := time.Now()
-				res, err := campaign.Run(cfg)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "campaign (workers=%d batch=%d): %v\n", w, b, err)
-					os.Exit(1)
-				}
-				el := time.Since(start)
-				runtime.ReadMemStats(&after)
-				allocs := after.Mallocs - before.Mallocs
-				bytes := after.TotalAlloc - before.TotalAlloc
-				if best == 0 || el < best {
-					best = el
-				}
-				if bestAllocs == 0 || allocs < bestAllocs {
-					bestAllocs = allocs
-					bestBytes = bytes
-				}
-				last = res
-			}
-			r := row{
-				Workers:     w,
-				Batch:       b,
-				Iterations:  *iters,
-				Tests:       len(last.Test),
-				MillisTotal: float64(best.Microseconds()) / 1000,
-				ItersPerSec: float64(*iters) / best.Seconds(),
-				AllocsPerOp: bestAllocs,
-				BytesPerOp:  bestBytes,
-			}
-			if n := len(last.Gen); n > 0 {
-				r.MicrosPerGen = best.Seconds() / float64(n) * 1e6
-			}
-			if n := len(last.Test); n > 0 {
-				r.MicrosTest = best.Seconds() / float64(n) * 1e6
-				r.MicrosVerify, r.MicrosExecute = phaseSplit(cfg, n)
-			}
-			if base == 0 {
-				base = r.ItersPerSec
-			}
-			if base > 0 {
-				r.Speedup = r.ItersPerSec / base
-			}
-			rep.Rows = append(rep.Rows, r)
-			fmt.Fprintf(os.Stderr, "workers=%d batch=%d: %s, %.0f iters/sec, %d tests (%.2fx), %d allocs/op, %d B/op\n",
-				w, b, best.Round(time.Millisecond), r.ItersPerSec, r.Tests, r.Speedup, r.AllocsPerOp, r.BytesPerOp)
+		cfg := campaign.Config{
+			Algorithm:  campaign.Classfuzz,
+			Criterion:  coverage.STBR,
+			Source:     campaign.FlatSeeds(seeds),
+			Iterations: *iters,
+			Rand:       *seed,
+			RefSpec:    jvm.HotSpot9(),
+			Workers:    w,
 		}
+		best := time.Duration(0)
+		var bestAllocs, bestBytes uint64
+		var last *campaign.Result
+		for r := 0; r < *repeat; r++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			start := time.Now()
+			res, err := campaign.Run(cfg)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "campaign (workers=%d): %v\n", w, err)
+				os.Exit(1)
+			}
+			el := time.Since(start)
+			runtime.ReadMemStats(&after)
+			allocs := after.Mallocs - before.Mallocs
+			bytes := after.TotalAlloc - before.TotalAlloc
+			if best == 0 || el < best {
+				best = el
+			}
+			if bestAllocs == 0 || allocs < bestAllocs {
+				bestAllocs = allocs
+				bestBytes = bytes
+			}
+			last = res
+		}
+		r := row{
+			Workers:     w,
+			Iterations:  *iters,
+			Tests:       len(last.Test),
+			MillisTotal: float64(best.Microseconds()) / 1000,
+			ItersPerSec: float64(*iters) / best.Seconds(),
+			AllocsPerOp: bestAllocs,
+			BytesPerOp:  bestBytes,
+		}
+		if n := len(last.Gen); n > 0 {
+			r.MicrosPerGen = best.Seconds() / float64(n) * 1e6
+		}
+		if n := len(last.Test); n > 0 {
+			r.MicrosTest = best.Seconds() / float64(n) * 1e6
+			r.MicrosVerify, r.MicrosExecute = phaseSplit(cfg, n)
+		}
+		if base == 0 {
+			base = r.ItersPerSec
+		}
+		if base > 0 {
+			r.Speedup = r.ItersPerSec / base
+		}
+		rep.Rows = append(rep.Rows, r)
+		fmt.Fprintf(os.Stderr, "workers=%d: %s, %.0f iters/sec, %d tests (%.2fx), %d allocs/op, %d B/op\n",
+			w, best.Round(time.Millisecond), r.ItersPerSec, r.Tests, r.Speedup, r.AllocsPerOp, r.BytesPerOp)
 	}
 
 	if *memprofile != "" {
@@ -240,7 +232,7 @@ func phaseSplit(cfg campaign.Config, tests int) (verifyµs, executeµs float64) 
 	reg := telemetry.New()
 	cfg.Telemetry = reg
 	if _, err := campaign.Run(cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "campaign (instrumented, workers=%d batch=%d): %v\n", cfg.Workers, cfg.Batch, err)
+		fmt.Fprintf(os.Stderr, "campaign (instrumented, workers=%d): %v\n", cfg.Workers, err)
 		os.Exit(1)
 	}
 	snap := reg.Snapshot()

@@ -28,7 +28,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/coverage"
 	"repro/internal/difftest"
-	"repro/internal/fuzz"
 	"repro/internal/jimple"
 	"repro/internal/jvm"
 	"repro/internal/reduce"
@@ -61,10 +60,10 @@ func main() {
 	// Telemetry section at the end renders from its snapshot.
 	treg := telemetry.New()
 	seeds := seedgen.Generate(seedgen.DefaultOptions(*seedCount, *seed))
-	var source fuzz.SeedSource
+	var source campaign.SeedSource
 	var sched *seedsel.Scheduler
 	if strategy == seedsel.Uniform {
-		source = fuzz.FlatSeeds(seeds)
+		source = campaign.FlatSeeds(seeds)
 	} else {
 		sched, err = seedsel.New(seeds, seedsel.Options{Strategy: strategy, RefSpec: jvm.HotSpot9(), Telemetry: treg})
 		if err != nil {
@@ -73,20 +72,19 @@ func main() {
 		}
 		source = sched
 	}
-	cfg := fuzz.Config{
-		Algorithm:       fuzz.Classfuzz,
-		Criterion:       coverage.STBR,
-		Source:          source,
-		Iterations:      *iters,
-		Rand:            *seed,
-		RefSpec:         jvm.HotSpot9(),
-		KeepClasses:     true,
-		StaticPrefilter: true,
-		Workers:         *workers,
-		Observer:        counters,
-		Telemetry:       treg,
+	cfg := campaign.Config{
+		Algorithm:   campaign.Classfuzz,
+		Criterion:   coverage.STBR,
+		Source:      source,
+		Iterations:  *iters,
+		Rand:        *seed,
+		RefSpec:     jvm.HotSpot9(),
+		KeepClasses: true,
+		Workers:     *workers,
+		Observer:    counters,
+		Telemetry:   treg,
 	}
-	res, err := fuzz.Run(cfg)
+	res, err := campaign.Run(cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "campaign: %v\n", err)
 		os.Exit(1)
@@ -141,20 +139,7 @@ func main() {
 	fmt.Printf("| mutants generated | %d |\n", counters.Applied)
 	fmt.Printf("| mutator failures | %d |\n", counters.Failed)
 	fmt.Printf("| reference-VM executions | %d |\n", counters.Executions)
-	fmt.Printf("| prefilter cache hits | %d |\n", counters.PrefilterHits)
 	fmt.Printf("| accepted tests | %d |\n\n", counters.Accepts)
-
-	if pf := res.Prefilter; pf != nil {
-		fmt.Printf("## Static prefilter savings\n\n")
-		fmt.Printf("Statically-doomed mutants whose load-phase coverage trace was\n")
-		fmt.Printf("already cached skip reference-VM execution; the accepted suite is\n")
-		fmt.Printf("identical either way.\n\n")
-		fmt.Printf("| metric (%s%s) | value |\n|---|---|\n", res.Algorithm, res.Criterion)
-		fmt.Printf("| mutants checked | %d |\n", pf.Checked)
-		fmt.Printf("| statically doomed | %d |\n", pf.Doomed)
-		fmt.Printf("| executions skipped | %d |\n", pf.Skipped)
-		fmt.Printf("| doomed but executed (cache miss) | %d |\n\n", pf.Executed)
-	}
 
 	fmt.Printf("## Differential engine\n\n")
 	fmt.Printf("The five-VM stage parses each class once and fans the parsed form\n")
@@ -242,7 +227,7 @@ func main() {
 	}
 
 	fmt.Printf("\n## Top mutators\n\n")
-	stats := append([]fuzz.MutatorStat(nil), res.MutatorStats...)
+	stats := append([]campaign.MutatorStat(nil), res.MutatorStats...)
 	sort.SliceStable(stats, func(a, b int) bool {
 		if stats[a].Rate() != stats[b].Rate() {
 			return stats[a].Rate() > stats[b].Rate()
@@ -264,7 +249,7 @@ func main() {
 	fmt.Printf("\n## Discrepancy inventory\n\n")
 	fmt.Printf("Vector digits are the phase codes 0–4 per VM, in the order above.\n\n")
 	type finding struct {
-		g   *fuzz.GenClass
+		g   *campaign.GenClass
 		v   difftest.Vector
 		rep *triage.Report
 	}
@@ -325,7 +310,7 @@ func main() {
 	fmt.Printf("telemetry detached). Stage timings are per-iteration means over the\n")
 	fmt.Printf("campaign engine's pipeline spans.\n\n")
 	fmt.Printf("| stage | samples | mean |\n|---|---|---|\n")
-	for _, stage := range []string{"draw", "mutate", "prefilter", "exec", "commit"} {
+	for _, stage := range []string{"draw", "mutate", "exec", "commit"} {
 		h := final.Hist("campaign.stage." + stage + "_ns")
 		if h.Count == 0 {
 			continue
@@ -343,16 +328,9 @@ func main() {
 		fmt.Printf("| %s | %d | %s | %s |\n",
 			vm.Name(), final.Counter(prefix+".runs"), load.MeanDuration(), run.MeanDuration())
 	}
-	fmt.Printf("\nPrefilter verdict counters: %d accept / %d reject; memo: %d hits / %d misses.\n",
-		final.Counter("campaign.prefilter.verdict.accept"),
-		final.Counter("campaign.prefilter.verdict.reject"),
+	fmt.Printf("\nDifftest outcome memo: %d hits / %d misses.\n",
 		final.Counter(difftest.MetricMemoLookupHits),
 		final.Counter(difftest.MetricMemoLookupMisses))
-	fmt.Printf("Dataflow verify band: %d definite / %d reject / %d unknown (verify-doomed: %d).\n",
-		final.Counter("analysis.dataflow.definite"),
-		final.Counter("analysis.dataflow.reject"),
-		final.Counter("analysis.dataflow.unknown"),
-		final.Counter("campaign.prefilter.verify_doomed"))
 	fmt.Printf("Method verify memo: %d hits / %d misses (%d unsafe fallbacks).\n",
 		final.Counter(jvm.MetricVerifyMemoHits),
 		final.Counter(jvm.MetricVerifyMemoMisses),

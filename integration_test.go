@@ -8,9 +8,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/campaign"
 	"repro/internal/coverage"
 	"repro/internal/difftest"
-	"repro/internal/fuzz"
 	"repro/internal/jimple"
 	"repro/internal/jvm"
 	"repro/internal/mutation"
@@ -59,16 +59,16 @@ func TestSoakRandomMutationChainsNeverPanic(t *testing.T) {
 // algorithm must uphold at any budget.
 func TestCampaignInvariants(t *testing.T) {
 	seeds := seedgen.Generate(seedgen.DefaultOptions(25, 8))
-	for _, alg := range []fuzz.Algorithm{fuzz.Classfuzz, fuzz.Uniquefuzz, fuzz.Greedyfuzz, fuzz.Randfuzz} {
-		res, err := fuzz.Run(fuzz.Config{
-			Algorithm: alg, Criterion: coverage.STBR, Source: fuzz.FlatSeeds(seeds),
+	for _, alg := range []campaign.Algorithm{campaign.Classfuzz, campaign.Uniquefuzz, campaign.Greedyfuzz, campaign.Randfuzz} {
+		res, err := campaign.Run(campaign.Config{
+			Algorithm: alg, Criterion: coverage.STBR, Source: campaign.FlatSeeds(seeds),
 			Iterations: 120, Rand: 5, RefSpec: jvm.HotSpot9(),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Every accepted class is in Gen, marked, and has bytes.
-		accepted := map[*fuzz.GenClass]bool{}
+		accepted := map[*campaign.GenClass]bool{}
 		for _, g := range res.Gen {
 			if g.Accepted {
 				accepted[g] = true
@@ -94,7 +94,7 @@ func TestCampaignInvariants(t *testing.T) {
 		for _, st := range res.MutatorStats {
 			sel += st.Selected
 		}
-		if alg == fuzz.Classfuzz && sel != res.Iterations {
+		if alg == campaign.Classfuzz && sel != res.Iterations {
 			t.Errorf("%s: selections %d != iterations %d", alg, sel, res.Iterations)
 		}
 	}
@@ -106,8 +106,8 @@ func TestCampaignInvariants(t *testing.T) {
 // under [stbr].
 func TestCoverageUniquenessHoldsOverSuite(t *testing.T) {
 	seeds := seedgen.Generate(seedgen.DefaultOptions(25, 4))
-	res, err := fuzz.Run(fuzz.Config{
-		Algorithm: fuzz.Classfuzz, Criterion: coverage.STBR, Source: fuzz.FlatSeeds(seeds),
+	res, err := campaign.Run(campaign.Config{
+		Algorithm: campaign.Classfuzz, Criterion: coverage.STBR, Source: campaign.FlatSeeds(seeds),
 		Iterations: 250, Rand: 5, RefSpec: jvm.HotSpot9(),
 	})
 	if err != nil {
@@ -140,7 +140,7 @@ func TestFacadeAgainstInternalConsistency(t *testing.T) {
 	if ST != coverage.ST || STBR != coverage.STBR || TR != coverage.TR {
 		t.Error("criterion aliases drifted")
 	}
-	if Classfuzz != fuzz.Classfuzz || Randfuzz != fuzz.Randfuzz {
+	if Classfuzz != campaign.Classfuzz || Randfuzz != campaign.Randfuzz {
 		t.Error("algorithm aliases drifted")
 	}
 	if NumMutators != len(mutation.Registry()) {

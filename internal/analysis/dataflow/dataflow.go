@@ -16,8 +16,8 @@
 // HotSpot's jsr/ret ban and type-checking StackMapTable validation) are
 // driven by the same Policy knobs the simulators use, so the analysis
 // can stand in for any of the five presets. internal/analysis's
-// StaticVerdict and campaign's StaticPrefilter build on this to predict
-// VerifyError without executing a VM, and the crosscheck harness holds
+// StaticVerdict builds on this to predict VerifyError without
+// executing a VM, and the crosscheck harness holds
 // the package to a zero-waiver agreement bar against all five presets.
 package dataflow
 

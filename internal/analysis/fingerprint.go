@@ -5,23 +5,7 @@ import (
 
 	"repro/internal/classfile"
 	"repro/internal/descriptor"
-	"repro/internal/jvm"
 )
-
-// LoadAnalyzers returns the passes whose diagnostics correspond to
-// loading-phase format checks (no CFG construction, so they are cheap
-// enough to run per-mutant inside the fuzz loop).
-func LoadAnalyzers() []*Analyzer {
-	return []*Analyzer{ConstPoolAnalyzer, MembersAnalyzer, StructureAnalyzer}
-}
-
-// LoadReject returns the first loading-phase diagnostic a VM with
-// policy p enforces, or nil when p's loader accepts f. It is the
-// prefilter predicate: a non-nil result means the VM rejects f during
-// loading, before any environment or interpreter state is consulted.
-func LoadReject(f *classfile.File, p *jvm.Policy) *Diagnostic {
-	return firstLoadReject(Run(f, LoadAnalyzers()), p)
-}
 
 // Fingerprint hashes the structural skeleton of a classfile: exactly
 // the inputs the loading phase reads. Two files with equal fingerprints
@@ -41,8 +25,7 @@ func LoadReject(f *classfile.File, p *jvm.Policy) *Diagnostic {
 func Fingerprint(f *classfile.File) uint64 {
 	// Inlined FNV-1a (identical to hash/fnv.New64a) so hashing a
 	// skeleton allocates nothing: writing through the hash.Hash64
-	// interface forced a heap allocation per appended byte, which made
-	// fingerprinting a visible slice of the prefilter's cost.
+	// interface forced a heap allocation per appended byte.
 	const (
 		fnvOffset64 = 14695981039346656037
 		fnvPrime64  = 1099511628211
@@ -131,109 +114,6 @@ func ContentFingerprint(data []byte) uint64 {
 	for _, b := range data {
 		h = (h ^ uint64(b)) * fnvPrime64
 	}
-	return h
-}
-
-// VerifyFingerprint hashes raw classfile bytes with constant-pool Utf8
-// entries equal to the class's own name abstracted away. Two files with
-// equal fingerprints differ at most in what the self-name literally
-// spells, and the simulated VMs never read that spelling beyond
-// equality with other pool strings (self-resolution, circularity) and
-// the validity/special-name properties hashed into the prefix — every
-// env lookup is guarded by a != self comparison, and the verifiers
-// treat the self-class opaquely. Masked-equal files therefore drive
-// byte-identical control flow through load, link and run, so a
-// recorded coverage trace can be reused across them. The campaign's
-// verify band keys its trace cache and verdict memo on this: mutants
-// differ from earlier ones only in the iteration-derived class name far
-// more often than in any other byte.
-//
-// The pool walk masks an entry by replacing its length and content
-// with a marker, so entries equal to selfName collapse together while
-// every other byte of the file is hashed verbatim. Anything the walk
-// cannot decode (unknown tag, truncation) falls back to hashing the
-// whole file verbatim — a finer key, never a wrong one. Comparison is
-// against the standard UTF-8 spelling of selfName; a modified-UTF-8
-// mismatch again only makes the key finer.
-func VerifyFingerprint(data []byte, selfName string) uint64 {
-	const (
-		fnvOffset64 = 14695981039346656037
-		fnvPrime64  = 1099511628211
-	)
-	h := uint64(fnvOffset64)
-	u8 := func(v byte) { h = (h ^ uint64(v)) * fnvPrime64 }
-	raw := func(b []byte) {
-		for _, v := range b {
-			h = (h ^ uint64(v)) * fnvPrime64
-		}
-	}
-	whole := func() uint64 {
-		raw(data)
-		return h
-	}
-
-	// The self-name properties load branches on, so files whose names
-	// differ in validity class never collide.
-	u8(utf8Bits(selfName))
-	u8(specialNameID(selfName))
-
-	// Header through constant_pool_count.
-	if len(data) < 10 {
-		return whole()
-	}
-	raw(data[:10])
-	count := int(data[8])<<8 | int(data[9])
-
-	pos := 10
-	for slot := 1; slot < count; slot++ {
-		if pos >= len(data) {
-			return whole()
-		}
-		tag := data[pos]
-		u8(tag)
-		pos++
-		var n int
-		switch classfile.ConstTag(tag) {
-		case classfile.TagUtf8:
-			if pos+2 > len(data) {
-				return whole()
-			}
-			n = int(data[pos])<<8 | int(data[pos+1])
-			if pos+2+n > len(data) {
-				return whole()
-			}
-			if string(data[pos+2:pos+2+n]) == selfName {
-				u8(0xFF) // masked: the self-name marker
-			} else {
-				raw(data[pos : pos+2+n])
-			}
-			pos += 2 + n
-			continue
-		case classfile.TagInteger, classfile.TagFloat:
-			n = 4
-		case classfile.TagLong, classfile.TagDouble:
-			n = 8
-			slot++ // wide constants take two pool slots
-		case classfile.TagClass, classfile.TagString, classfile.TagMethodType:
-			n = 2
-		case classfile.TagFieldref, classfile.TagMethodref,
-			classfile.TagInterfaceMethodref, classfile.TagNameAndType,
-			classfile.TagInvokeDynamic:
-			n = 4
-		case classfile.TagMethodHandle:
-			n = 3
-		default:
-			return whole()
-		}
-		if pos+n > len(data) {
-			return whole()
-		}
-		raw(data[pos : pos+n])
-		pos += n
-	}
-
-	// Everything after the pool is hashed verbatim.
-	raw(data[pos:])
 	return h
 }
 

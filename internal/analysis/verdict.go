@@ -70,54 +70,6 @@ func StaticVerdictEnv(f *classfile.File, spec jvm.Spec, env *rtlib.Env) Predicti
 	return invokeVerdict(f, spec, env, clinitOut)
 }
 
-// VerifyReject returns the oracle's definite loading/linking rejection
-// for f on spec, or nil when the class definitely survives both phases.
-// It is the campaign verify band's predicate: the link mirror covers
-// hierarchy well-formedness, throws clauses, eager resolution and
-// §4.10 dataflow verification, inheriting the crosscheck harness's
-// zero-waiver exactness. Callers must have cleared the loading-phase
-// format checks first (LoadReject), matching StaticVerdict's order.
-func VerifyReject(f *classfile.File, spec jvm.Spec, env *rtlib.Env) *jvm.Outcome {
-	if out, bad := linkVerdict(f, spec, env); bad {
-		return &out
-	}
-	return nil
-}
-
-// VerifyRejectMemo is VerifyReject with the §4.10 dataflow pass
-// memoised per method in a jvm.VerifyMemo (nil memo falls back to the
-// plain path). Every class-level mirror check still runs in full —
-// only the per-method fixpoint, the dominant cost, is skipped on a hit.
-// Verdicts are keyed under the dataflow oracle identity, disjoint from
-// the runtime verifier's entries, so the static-vs-dynamic crosscheck
-// keeps its differential power.
-func VerifyRejectMemo(f *classfile.File, spec jvm.Spec, env *rtlib.Env, memo *jvm.VerifyMemo) *jvm.Outcome {
-	if memo == nil {
-		return VerifyReject(f, spec, env)
-	}
-	var ctx *jvm.VerifyKeyCtx
-	id := jvm.VerifyIdent{Spec: spec, Env: env.Release, Oracle: jvm.OracleDataflow}
-	verify := func(m *classfile.Member) *jvm.Outcome {
-		if ctx == nil {
-			ctx = jvm.NewVerifyKeyCtx(f, env)
-		}
-		key, ok := ctx.Key(m)
-		if !ok {
-			return dataflow.VerifyMethod(f, m, &spec.Policy, env)
-		}
-		if out, hit := memo.Lookup(id, key); hit {
-			return out
-		}
-		out := dataflow.VerifyMethod(f, m, &spec.Policy, env)
-		memo.Store(id, key, ctx.SelfName(), out)
-		return out
-	}
-	if out, bad := linkVerdictVerify(f, spec, env, verify); bad {
-		return &out
-	}
-	return nil
-}
-
 // firstLoadReject picks the first loading-phase error diagnostic that
 // policy p enforces, in the loader's own check order.
 func firstLoadReject(diags []Diagnostic, p *jvm.Policy) *Diagnostic {
@@ -132,15 +84,9 @@ func firstLoadReject(diags []Diagnostic, p *jvm.Policy) *Diagnostic {
 
 // linkVerdict mirrors the linking phase read-only: hierarchy
 // well-formedness, throws clauses, optional eager resolution of every
-// symbolic reference, and eager verification via the real verifier.
+// symbolic reference, and eager verification via the dataflow
+// verifier.
 func linkVerdict(f *classfile.File, spec jvm.Spec, env *rtlib.Env) (jvm.Outcome, bool) {
-	return linkVerdictVerify(f, spec, env, nil)
-}
-
-// linkVerdictVerify is linkVerdict with a pluggable per-method verify
-// function for the eager-verification pass (nil means plain
-// dataflow.VerifyMethod).
-func linkVerdictVerify(f *classfile.File, spec jvm.Spec, env *rtlib.Env, verify func(*classfile.Member) *jvm.Outcome) (jvm.Outcome, bool) {
 	p := &spec.Policy
 	self := f.Name()
 	rej := func(phase jvm.Phase, err string) (jvm.Outcome, bool) {
@@ -218,16 +164,11 @@ func linkVerdictVerify(f *classfile.File, spec jvm.Spec, env *rtlib.Env, verify 
 	}
 
 	if p.EagerVerify {
-		if verify == nil {
-			verify = func(m *classfile.Member) *jvm.Outcome {
-				return dataflow.VerifyMethod(f, m, &spec.Policy, env)
-			}
-		}
 		for _, m := range f.Methods {
 			if m.Code() == nil {
 				continue
 			}
-			if out := verify(m); out != nil {
+			if out := dataflow.VerifyMethod(f, m, &spec.Policy, env); out != nil {
 				return *out, true
 			}
 		}

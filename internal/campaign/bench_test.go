@@ -11,18 +11,17 @@ import (
 )
 
 // benchConfig mirrors experiments.DefaultScale: 60 seeds, 400
-// iterations of classfuzz[stbr] with the static prefilter on — the
-// workload whose wall clock the worker pool is meant to cut.
+// iterations of classfuzz[stbr] — the workload whose wall clock the
+// worker pool is meant to cut.
 func benchConfig(workers int) Config {
 	return Config{
-		Algorithm:       Classfuzz,
-		Criterion:       coverage.STBR,
-		Source:          FlatSeeds(seedgen.Generate(seedgen.DefaultOptions(60, 1))),
-		Iterations:      400,
-		Rand:            1,
-		RefSpec:         jvm.HotSpot9(),
-		StaticPrefilter: true,
-		Workers:         workers,
+		Algorithm:  Classfuzz,
+		Criterion:  coverage.STBR,
+		Source:     FlatSeeds(seedgen.Generate(seedgen.DefaultOptions(60, 1))),
+		Iterations: 400,
+		Rand:       1,
+		RefSpec:    jvm.HotSpot9(),
+		Workers:    workers,
 	}
 }
 

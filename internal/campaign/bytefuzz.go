@@ -39,7 +39,7 @@ func runBytefuzz(cfg Config) (*Result, error) {
 	}
 
 	o := obs{cfg.Observer}
-	tel := newEngineTel(nonNilRegistry(cfg.Telemetry), false)
+	tel := newEngineTel(cfg.Telemetry, false)
 	res := &Result{
 		Algorithm:  cfg.Algorithm,
 		Criterion:  cfg.Criterion,

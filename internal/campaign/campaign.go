@@ -8,7 +8,6 @@
 //
 //	draw    — seed pick + mutator selection (sequential, iteration order)
 //	mutate  — clone seed, apply mutator, lower to classfile bytes
-//	filter  — static prefilter: doomed-mutant detection + trace cache
 //	execute — run the mutant on an instrumented reference VM
 //	commit  — coverage uniqueness, suite/pool update, selector feedback
 //	          (sequential, iteration order)
@@ -90,16 +89,6 @@ type Config struct {
 	// only accepted mutants keep their bytes, which is what bounds
 	// campaign RSS at paper scale.
 	KeepGenBytes bool
-	// StaticPrefilter short-circuits reference-VM execution of mutants
-	// the static oracle proves the reference VM rejects — during
-	// loading (format checks, keyed by structural fingerprint) or
-	// during linking (hierarchy, resolution and §4.10 dataflow
-	// verification, keyed by a name-masked content fingerprint). The
-	// first mutant of each fingerprint still executes (its trace seeds
-	// a cache); fingerprint-equal repeats reuse that trace, so the
-	// coverage-driven acceptance decisions — and the accepted suite —
-	// are bit-identical to an unfiltered campaign.
-	StaticPrefilter bool
 	// VerifyMemo optionally injects a shared method-verification memo
 	// (warm lineages across campaigns: a daemon shard or benchmark may
 	// carry one memo through many epochs). Nil means the engine creates
@@ -110,18 +99,9 @@ type Config struct {
 	// DisableVerifyMemo runs verification unmemoised (the equivalence
 	// tests' cold baseline).
 	DisableVerifyMemo bool
-	// Workers sizes the pool running the mutate/filter/execute stages;
+	// Workers sizes the pool running the mutate/execute stages;
 	// 0 or 1 means single-threaded. Results are identical at any value.
 	Workers int
-	// Batch is the dispatch block size: how many drawn iterations the
-	// coordinator hands a worker per dispatch. Values < 1 select 1;
-	// values above Lookahead are clamped to it (a block never spans
-	// more than the in-flight window). Like Workers it is pure
-	// mechanics — results are bit-identical at any batch size — but
-	// larger blocks amortise channel traffic and let a worker reuse its
-	// scratch (lowering context, byte buffers) across a run of
-	// iterations without crossing a synchronisation point.
-	Batch int
 	// Lookahead overrides DefaultLookahead (values < 1 select the
 	// default). Unlike Workers it is part of the campaign's semantics.
 	Lookahead int
@@ -139,8 +119,7 @@ type Config struct {
 	// timing histograms. Telemetry is observe-only: results are
 	// bit-identical with or without it, at any worker count. The
 	// registry may be shared with a live endpoint or across campaigns
-	// (counters then accumulate; Result.Prefilter still reports only
-	// this campaign's deltas).
+	// (counters then accumulate).
 	Telemetry *telemetry.Registry
 }
 
@@ -158,22 +137,6 @@ func (c *Config) lookahead() int {
 		return DefaultLookahead
 	}
 	return c.Lookahead
-}
-
-// batch returns the effective dispatch block size: at least 1, at most
-// the lookahead window. The K ≤ D bound is what keeps batching purely
-// mechanical — commit(i−D) precedes draw(i), and a block is always
-// fully drawn (hence dispatched) before the first commit that waits on
-// it, so the draw/commit interleaving is exactly the unbatched one.
-func (c *Config) batch() int {
-	b := c.Batch
-	if b < 1 {
-		b = 1
-	}
-	if d := c.lookahead(); b > d {
-		b = d
-	}
-	return b
 }
 
 // Run executes a campaign.

@@ -26,13 +26,12 @@ var update = flag.Bool("update", false, "rewrite golden campaign summaries")
 // field the determinism contract covers. Elapsed and Workers are
 // deliberately absent (they are the only fields allowed to vary).
 type summary struct {
-	Algorithm      Algorithm       `json:"algorithm"`
-	GenCount       int             `json:"gen_count"`
-	GenUniqueStats int             `json:"gen_unique_stats"`
-	TestNames      []string        `json:"test_names"`
-	MutatorStats   []MutatorStat   `json:"mutator_stats"`
-	Prefilter      *PrefilterStats `json:"prefilter,omitempty"`
-	Draws          []DrawRecord    `json:"draws"`
+	Algorithm      Algorithm     `json:"algorithm"`
+	GenCount       int           `json:"gen_count"`
+	GenUniqueStats int           `json:"gen_unique_stats"`
+	TestNames      []string      `json:"test_names"`
+	MutatorStats   []MutatorStat `json:"mutator_stats"`
+	Draws          []DrawRecord  `json:"draws"`
 }
 
 func summarize(r *Result) summary {
@@ -42,7 +41,6 @@ func summarize(r *Result) summary {
 		GenUniqueStats: r.GenUniqueStats,
 		TestNames:      []string{},
 		MutatorStats:   r.MutatorStats,
-		Prefilter:      r.Prefilter,
 		Draws:          r.Draws,
 	}
 	for _, g := range r.Test {
@@ -52,17 +50,15 @@ func summarize(r *Result) summary {
 }
 
 // detConfig is the fixed-seed campaign the determinism and golden tests
-// share. StaticPrefilter is on so the versioned trace cache's counters
-// are part of the contract.
+// share.
 func detConfig(alg Algorithm) Config {
 	return Config{
-		Algorithm:       alg,
-		Criterion:       coverage.STBR,
-		Source:          FlatSeeds(seedgen.Generate(seedgen.DefaultOptions(20, 5))),
-		Iterations:      160,
-		Rand:            17,
-		RefSpec:         jvm.HotSpot9(),
-		StaticPrefilter: true,
+		Algorithm:  alg,
+		Criterion:  coverage.STBR,
+		Source:     FlatSeeds(seedgen.Generate(seedgen.DefaultOptions(20, 5))),
+		Iterations: 160,
+		Rand:       17,
+		RefSpec:    jvm.HotSpot9(),
 	}
 }
 
@@ -82,8 +78,7 @@ func workerCounts() []int {
 
 // TestEngineDeterministicAcrossWorkers is the tentpole's contract: at a
 // fixed campaign seed every algorithm produces bit-identical accepted
-// suites, draw logs, mutator statistics and prefilter counters whatever
-// the worker count.
+// suites, draw logs and mutator statistics whatever the worker count.
 func TestEngineDeterministicAcrossWorkers(t *testing.T) {
 	for _, alg := range detAlgorithms {
 		alg := alg
@@ -156,7 +151,7 @@ func TestGoldenResults(t *testing.T) {
 
 // TestTelemetryObserveOnly is the telemetry substrate's determinism
 // contract: attaching a registry changes nothing — the full summary
-// (accepted suite, draw log, mutator stats, prefilter counters) is
+// (accepted suite, draw log, mutator stats) is
 // bit-identical with telemetry on or off, at every worker count — and
 // the registry's deterministic counters agree with the Result.
 func TestTelemetryObserveOnly(t *testing.T) {
@@ -191,12 +186,10 @@ func TestTelemetryObserveOnly(t *testing.T) {
 				if got := s.Counter("campaign.accepts"); got != int64(len(res.Test)) {
 					t.Errorf("workers=%d: campaign.accepts = %d, want %d", w, got, len(res.Test))
 				}
-				if pf := res.Prefilter; pf != nil {
-					if got := s.Counter("campaign.prefilter.skipped"); got != int64(pf.Skipped) {
-						t.Errorf("workers=%d: campaign.prefilter.skipped = %d, want %d", w, got, pf.Skipped)
-					}
-					if got := s.Counter("campaign.executions"); got != int64(len(res.Gen)-pf.Skipped) {
-						t.Errorf("workers=%d: campaign.executions = %d, want %d", w, got, len(res.Gen)-pf.Skipped)
+				if alg != Randfuzz {
+					// Every generated mutant runs on the reference VM.
+					if got := s.Counter("campaign.executions"); got != int64(len(res.Gen)) {
+						t.Errorf("workers=%d: campaign.executions = %d, want %d", w, got, len(res.Gen))
 					}
 				}
 				if alg == Classfuzz && w == 1 {
@@ -218,8 +211,8 @@ func TestTelemetryObserveOnly(t *testing.T) {
 }
 
 // TestTelemetryRegistryReuse: a registry shared across campaigns
-// accumulates, while each Result.Prefilter reports only its own
-// campaign's deltas.
+// accumulates each campaign's counts, and sharing it changes neither
+// campaign's result.
 func TestTelemetryRegistryReuse(t *testing.T) {
 	reg := telemetry.New()
 	cfg := detConfig(Classfuzz)
@@ -234,12 +227,12 @@ func TestTelemetryRegistryReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(r1.Prefilter, r2.Prefilter) {
-		t.Errorf("identical campaigns on a shared registry disagree on Prefilter: %+v vs %+v", r1.Prefilter, r2.Prefilter)
+	if !reflect.DeepEqual(summarize(r1), summarize(r2)) {
+		t.Error("identical campaigns on a shared registry disagree")
 	}
 	s := reg.Snapshot()
-	if got := s.Counter("campaign.prefilter.checked"); got != int64(r1.Prefilter.Checked+r2.Prefilter.Checked) {
-		t.Errorf("shared registry checked = %d, want accumulated %d", got, r1.Prefilter.Checked+r2.Prefilter.Checked)
+	if got := s.Counter("campaign.executions"); got != int64(len(r1.Gen)+len(r2.Gen)) {
+		t.Errorf("shared registry executions = %d, want accumulated %d", got, len(r1.Gen)+len(r2.Gen))
 	}
 	if got := s.Counter("campaign.iterations"); got != int64(2*cfg.Iterations) {
 		t.Errorf("shared registry iterations = %d, want %d", got, 2*cfg.Iterations)
@@ -254,7 +247,6 @@ func TestTelemetryRegistryReuse(t *testing.T) {
 // specified stage ordering, the two would disagree.
 func TestSequentialReferenceSpec(t *testing.T) {
 	cfg := detConfig(Classfuzz)
-	cfg.StaticPrefilter = false // the spec below has no trace cache
 	cfg.Workers = 3
 	res, err := Run(cfg)
 	if err != nil {

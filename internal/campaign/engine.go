@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/classfile"
 	"repro/internal/coverage"
 	"repro/internal/jimple"
 	"repro/internal/jvm"
@@ -24,76 +23,41 @@ type poolEntry struct {
 	iter  int
 }
 
-// task carries one iteration through the pipeline. The draw stage fills
-// the input fields on the coordinator; a worker fills the output fields;
-// the commit stage reads them back on the coordinator (the close of the
-// enclosing block's done channel orders the accesses). Tasks live
-// embedded by value inside their block, so a dispatch allocates one
-// block instead of K tasks plus K channels.
+// task carries one iteration through the pipeline and is the dispatch
+// unit handed to a worker. The draw stage fills the input fields on
+// the coordinator; a worker fills the output fields and closes done;
+// the commit stage reads them back on the coordinator (the close of
+// done orders the accesses). Ownership alternates strictly —
+// coordinator while drawing, one worker between the channel send and
+// close(done), coordinator again at commit — so no field needs a lock.
+// Tasks are recycled through a coordinator-owned free list.
 type task struct {
 	iter   int
 	parent *jimple.Class
 	rec    DrawRecord
 
-	// outputs of the mutate/filter/execute stages
-	applied       bool // mutator applicable
-	lowered       bool // classfile bytes produced
-	mutant        *jimple.Class
-	data          []byte
-	trace         *coverage.Trace
-	checked       bool   // prefilter inspected the mutant
-	parsed        bool   // bytes parsed as a classfile
-	doomed        bool   // statically certain loading-phase reject
-	verifyChecked bool   // verify band inspected the mutant
-	verifyDoomed  bool   // statically certain linking-phase reject
-	cacheHit      bool   // trace served from the prefilter cache
-	fp            uint64 // trace-cache key of the band that doomed it
+	// outputs of the mutate/execute stages
+	applied bool // mutator applicable
+	lowered bool // classfile bytes produced
+	mutant  *jimple.Class
+	data    []byte
+	trace   *coverage.Trace
 
-	// dataRetained is set at commit when t.data escaped into the result
-	// (accepted bytes, or KeepClasses/KeepGenBytes); only unretained
-	// buffers return to the block's recycling pool.
+	// dataRetained is set at commit when data escaped into the result
+	// (accepted bytes, or KeepClasses/KeepGenBytes); only an unretained
+	// buffer is kept as buf for the serialiser to reuse.
 	dataRetained bool
+	buf          []byte
+
+	done chan struct{}
 }
 
-// block is one dispatch unit: up to Config.Batch tasks embedded by
-// value, a single completion channel, and a pool of class-byte buffers
-// the serialiser reuses. Ownership alternates strictly — coordinator
-// while drawing, one worker between the channel send and close(done),
-// coordinator again after commit — so no field needs a lock. Blocks
-// are recycled through a coordinator-owned free list; the tasks slice
-// is never regrown past its original capacity, so *task pointers in
-// the commit ring stay valid.
-type block struct {
-	tasks []task
-	done  chan struct{}
-	bufs  [][]byte
-}
-
-// takeBuf pops a recycled class-byte buffer (length 0, capacity from a
-// previous serialisation) or hands out a fresh one.
-func (b *block) takeBuf() []byte {
-	if n := len(b.bufs); n > 0 {
-		buf := b.bufs[n-1]
-		b.bufs = b.bufs[:n-1]
-		return buf[:0]
-	}
-	return make([]byte, 0, 1024)
-}
-
-// taskRef locates one task inside its block for the commit ring.
-type taskRef struct {
-	b   *block
-	idx int
-}
-
-// engineTel holds the engine's interned telemetry handles. The count
-// handles are always bound (against Config.Telemetry or a private
-// registry) and incremented only on the sequential draw/commit path,
-// so their values are deterministic at any worker count and
-// Result.Prefilter can be derived from them. The stage histograms are
-// bound only when an external registry is attached — timing fires
-// time.Now on the worker hot path, and a campaign nobody is observing
-// should not pay for it.
+// engineTel holds the engine's interned telemetry handles, bound
+// against Config.Telemetry (all nil, hence no-ops, without one). The
+// counters move only on the sequential draw/commit path, so their
+// values are deterministic at any worker count. The stage histograms
+// are bound only when timing is asked for: a span fires time.Now on
+// the worker hot path, and bytefuzz has no stages to time.
 type engineTel struct {
 	iterations *telemetry.Counter // campaign.iterations
 	generated  *telemetry.Counter // campaign.generated
@@ -101,42 +65,12 @@ type engineTel struct {
 	executions *telemetry.Counter // campaign.executions
 	accepts    *telemetry.Counter // campaign.accepts
 	committed  *telemetry.Counter // campaign.committed
-	pfChecked  *telemetry.Counter // campaign.prefilter.checked
-	pfDoomed   *telemetry.Counter // campaign.prefilter.doomed
-	pfVerify   *telemetry.Counter // campaign.prefilter.verify_doomed
-	pfSkipped  *telemetry.Counter // campaign.prefilter.skipped
-	pfExecuted *telemetry.Counter // campaign.prefilter.executed
 	poolSize   *telemetry.Gauge   // campaign.pool_size
 
-	// verdicts tallies the prefilter's static accept/reject stream
-	// (campaign.prefilter.verdict.accept / .reject) — the analysis
-	// package's own view of the same commit-path decisions.
-	verdicts analysis.VerdictCounters
-	// dataflow tallies the verify band's claims under the canonical
-	// analysis.dataflow.* names (definite link-accept, definite
-	// reject, unparseable-unknown); load-doomed mutants never reach
-	// the band and are not counted.
-	dataflow analysis.DataflowCounters
-
-	draw      *telemetry.Histogram // campaign.stage.draw_ns
-	mutate    *telemetry.Histogram // campaign.stage.mutate_ns
-	prefilter *telemetry.Histogram // campaign.stage.prefilter_ns
-	exec      *telemetry.Histogram // campaign.stage.exec_ns
-	commit    *telemetry.Histogram // campaign.stage.commit_ns
-
-	// prefilter counter values at campaign start, so a reused external
-	// registry still yields this campaign's own PrefilterStats.
-	pfBase [5]int64
-}
-
-// nonNilRegistry substitutes a private registry when the caller did
-// not attach one, so the deterministic counters always have somewhere
-// to land (Result.Prefilter is derived from them).
-func nonNilRegistry(reg *telemetry.Registry) *telemetry.Registry {
-	if reg == nil {
-		return telemetry.New()
-	}
-	return reg
+	draw   *telemetry.Histogram // campaign.stage.draw_ns
+	mutate *telemetry.Histogram // campaign.stage.mutate_ns
+	exec   *telemetry.Histogram // campaign.stage.exec_ns
+	commit *telemetry.Histogram // campaign.stage.commit_ns
 }
 
 func newEngineTel(reg *telemetry.Registry, timing bool) engineTel {
@@ -147,36 +81,15 @@ func newEngineTel(reg *telemetry.Registry, timing bool) engineTel {
 		executions: reg.Counter("campaign.executions"),
 		accepts:    reg.Counter("campaign.accepts"),
 		committed:  reg.Counter("campaign.committed"),
-		pfChecked:  reg.Counter("campaign.prefilter.checked"),
-		pfDoomed:   reg.Counter("campaign.prefilter.doomed"),
-		pfVerify:   reg.Counter("campaign.prefilter.verify_doomed"),
-		pfSkipped:  reg.Counter("campaign.prefilter.skipped"),
-		pfExecuted: reg.Counter("campaign.prefilter.executed"),
 		poolSize:   reg.Gauge("campaign.pool_size"),
-		verdicts:   analysis.NewVerdictCounters(reg, "campaign.prefilter.verdict"),
-		dataflow:   analysis.NewDataflowCounters(reg),
 	}
 	if timing {
 		t.draw = reg.Histogram("campaign.stage.draw_ns")
 		t.mutate = reg.Histogram("campaign.stage.mutate_ns")
-		t.prefilter = reg.Histogram("campaign.stage.prefilter_ns")
 		t.exec = reg.Histogram("campaign.stage.exec_ns")
 		t.commit = reg.Histogram("campaign.stage.commit_ns")
 	}
-	t.pfBase = [5]int64{t.pfChecked.Load(), t.pfDoomed.Load(), t.pfSkipped.Load(), t.pfExecuted.Load(), t.pfVerify.Load()}
 	return t
-}
-
-// prefilterStats derives this campaign's savings from the counter
-// deltas since newEngineTel.
-func (t *engineTel) prefilterStats() PrefilterStats {
-	return PrefilterStats{
-		Checked:      int(t.pfChecked.Load() - t.pfBase[0]),
-		Doomed:       int(t.pfDoomed.Load() - t.pfBase[1]),
-		Skipped:      int(t.pfSkipped.Load() - t.pfBase[2]),
-		Executed:     int(t.pfExecuted.Load() - t.pfBase[3]),
-		VerifyDoomed: int(t.pfVerify.Load() - t.pfBase[4]),
-	}
 }
 
 type engine struct {
@@ -194,27 +107,23 @@ type engine struct {
 	greedyUnion      *coverage.Trace
 	genStats         *coverage.Suite
 	pool             []poolEntry
-	pf               *prefilter
 	// vmemo is the campaign's method-verification memo, shared by every
-	// worker VM (runtime-verifier oracle) and the prefilter's verify
-	// band (dataflow oracle). Nil when Config.DisableVerifyMemo is set.
+	// worker VM. Nil when Config.DisableVerifyMemo is set.
 	vmemo *jvm.VerifyMemo
 
 	tel    engineTel
 	timing bool // external registry attached: stage + VM timing on
 
 	lookahead int
-	batch     int
 	res       *Result
 
 	// drawR is the coordinator's reused draw-stream generator: reseeded
 	// per iteration (prng.Reseed), byte-for-byte equivalent to a fresh
 	// drawRNG but without reallocating the ~5KB rand source each draw.
 	drawR *rand.Rand
-	// freeBlocks recycles dispatch blocks (and their task storage and
-	// byte buffers) on the coordinator once every task in a block has
-	// committed.
-	freeBlocks []*block
+	// freeTasks recycles committed tasks (and their byte buffers) on
+	// the coordinator.
+	freeTasks []*task
 
 	// Checkpoint/resume state. drawn and committed advance only on the
 	// coordinator; mergedCov is the word-OR of the seed traces and every
@@ -245,17 +154,11 @@ func newEngine(cfg Config) *engine {
 		seeds:            cfg.Source.Corpus(),
 		coverageDirected: cfg.Algorithm != Randfuzz,
 		lookahead:        cfg.lookahead(),
-		batch:            cfg.batch(),
 		timing:           cfg.Telemetry != nil,
 		ctrl:             cfg.Control,
 	}
 
-	// Counts always flow into a registry — the caller's, or a private
-	// one Result.Prefilter is derived from. Counts move only on the
-	// sequential draw/commit path, so they are deterministic at any
-	// worker count; stage timing (the only telemetry touching workers)
-	// stays off unless someone attached a registry to observe it.
-	e.tel = newEngineTel(nonNilRegistry(cfg.Telemetry), e.timing)
+	e.tel = newEngineTel(cfg.Telemetry, e.timing)
 
 	// Mutator selector: classfuzz uses the MCMC chain; everything else
 	// selects uniformly. The chain's initial state comes from the
@@ -304,11 +207,6 @@ func newEngine(cfg Config) *engine {
 		if cfg.Telemetry != nil {
 			e.vmemo.UseTelemetry(cfg.Telemetry)
 		}
-	}
-
-	if cfg.StaticPrefilter && e.coverageDirected {
-		e.pf = newPrefilter(cfg.RefSpec)
-		e.pf.vmemo = e.vmemo
 	}
 	return e
 }
@@ -366,7 +264,6 @@ func (e *engine) run() (*Result, error) {
 			Draws:      make([]DrawRecord, 0, cfg.Iterations),
 			Workers:    cfg.workers(),
 			Lookahead:  e.lookahead,
-			Batch:      e.batch,
 		}
 	}
 	e.tel.poolSize.Set(int64(len(e.pool)))
@@ -375,20 +272,10 @@ func (e *engine) run() (*Result, error) {
 	// commits in a fixed interleaving — draw(0..D-1), then
 	// commit(i−D); draw(i) for each subsequent i — so every draw
 	// observes exactly the commits of iterations ≤ i−D regardless of
-	// how the worker pool schedules the stages in between. At most D
+	// how the worker pool schedules the stages in between. Each drawn
+	// task goes to one worker, which runs mutate/execute against its
+	// long-lived scratch and closes the task's done channel. At most D
 	// tasks are in flight, hence the ring and the channel bound.
-	//
-	// Dispatch is batched: drawn tasks accumulate in a block of up to K
-	// (= Config.Batch, clamped to K ≤ D) and the block is handed to one
-	// worker, which runs mutate/filter/execute for every task against
-	// its long-lived scratch and closes the block's done channel. Only
-	// the dispatch granularity changes — each iteration is still drawn
-	// and committed individually, in the interleaving above, so results
-	// are bit-identical at any (workers, batch). The first commit that
-	// waits on a block can never precede its dispatch: commit(i−D)
-	// waits on the block holding task i−D, whose last task is at most
-	// iteration i−D+K−1 ≤ i−1, so the block was filled — and therefore
-	// sent — before iteration i began.
 	//
 	// A resumed engine enters the same loop at base = startIter (the
 	// snapshot's commit frontier): the in-flight window re-enters the
@@ -400,8 +287,8 @@ func (e *engine) run() (*Result, error) {
 	D := e.lookahead
 	N := cfg.Iterations
 	base := e.startIter
-	blocks := make(chan *block, D)
-	ring := make([]taskRef, D)
+	tasks := make(chan *task, D)
+	ring := make([]*task, D)
 
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.workers(); w++ {
@@ -411,7 +298,7 @@ func (e *engine) run() (*Result, error) {
 			// Per-worker arenas: the reference VM and recorder are
 			// stateless across runs; the lowering context and mutation
 			// RNG are reset per task. One set serves the worker's whole
-			// stream of blocks without sharing anything with its peers.
+			// stream of tasks without sharing anything with its peers.
 			ws := &workerScratch{
 				vm:   jvm.New(cfg.RefSpec),
 				rec:  coverage.NewRecorder(jvm.ProbeRegistry()),
@@ -425,55 +312,39 @@ func (e *engine) run() (*Result, error) {
 				// next to the stage spans; observe-only like the rest.
 				ws.vm.SetTelemetry(e.cfg.Telemetry)
 			}
-			for b := range blocks {
-				for j := range b.tasks {
-					e.process(&b.tasks[j], ws, b)
-				}
-				close(b.done)
+			for t := range tasks {
+				e.process(t, ws)
+				close(t.done)
 			}
 		}()
 	}
 
-	var cur *block
 	for i := base; i < N; i++ {
 		if e.serviceControl(i) {
 			e.stopped = true
 			break
 		}
 		if i-D >= base {
-			e.commitRef(ring[(i-D)%D])
+			e.commitTask(ring[(i-D)%D])
 		}
-		if cur == nil {
-			cur = e.getBlock()
-		}
-		cur.tasks = cur.tasks[:len(cur.tasks)+1]
-		t := &cur.tasks[len(cur.tasks)-1]
+		t := e.getTask()
 		if j := i - base; j < len(e.resumeDraws) {
 			e.redraw(e.resumeDraws[j], t)
 		} else {
 			e.draw(i, t)
 		}
-		ring[i%D] = taskRef{b: cur, idx: len(cur.tasks) - 1}
-		if len(cur.tasks) == e.batch {
-			blocks <- cur
-			cur = nil
-		}
+		ring[i%D] = t
+		tasks <- t
 	}
-	// Flush the partial block a stop (or a budget not divisible by K)
-	// left behind, then drain the in-flight window (all of it, after a
-	// stop).
-	if cur != nil && len(cur.tasks) > 0 {
-		blocks <- cur
-		cur = nil
-	}
-	close(blocks)
+	// Drain the in-flight window (all of it, after a stop).
+	close(tasks)
 	end := e.drawn
 	tail := end - D
 	if tail < base {
 		tail = base
 	}
 	for i := tail; i < end; i++ {
-		e.commitRef(ring[i%D])
+		e.commitTask(ring[i%D])
 	}
 	wg.Wait()
 
@@ -489,41 +360,36 @@ func (e *engine) run() (*Result, error) {
 	return e.res, nil
 }
 
-// getBlock pops a recycled dispatch block or allocates a fresh one.
-// Coordinator-goroutine only. The tasks slice always has capacity
-// e.batch and is filled in place, never regrown, so pointers into it
-// stay valid for the block's whole flight.
-func (e *engine) getBlock() *block {
-	if n := len(e.freeBlocks); n > 0 {
-		b := e.freeBlocks[n-1]
-		e.freeBlocks = e.freeBlocks[:n-1]
-		b.done = make(chan struct{})
-		return b
+// getTask pops a recycled task or allocates a fresh one, with a new
+// done channel either way. Coordinator-goroutine only.
+func (e *engine) getTask() *task {
+	if n := len(e.freeTasks); n > 0 {
+		t := e.freeTasks[n-1]
+		e.freeTasks = e.freeTasks[:n-1]
+		t.done = make(chan struct{})
+		return t
 	}
-	return &block{tasks: make([]task, 0, e.batch), done: make(chan struct{})}
+	return &task{done: make(chan struct{})}
 }
 
-// recycle returns a fully committed block to the free list, reclaiming
-// the class-byte buffers of tasks whose bytes did not escape into the
-// result and dropping every object reference so a parked block pins
-// nothing. Coordinator-goroutine only, after the block's last commit.
-func (e *engine) recycle(b *block) {
-	for j := range b.tasks {
-		t := &b.tasks[j]
-		if t.data != nil && !t.dataRetained {
-			b.bufs = append(b.bufs, t.data[:0])
-		}
-		t.parent, t.mutant, t.trace, t.data = nil, nil, nil, nil
+// commitTask waits for the task's worker to finish, commits it, and
+// returns it to the free list, keeping its class-byte buffer when the
+// bytes did not escape into the result and dropping every object
+// reference so a parked task pins nothing. Coordinator-goroutine only.
+func (e *engine) commitTask(t *task) {
+	<-t.done
+	e.commit(t)
+	var buf []byte
+	if t.data != nil && !t.dataRetained {
+		buf = t.data[:0]
 	}
-	b.tasks = b.tasks[:0]
-	b.done = nil
-	e.freeBlocks = append(e.freeBlocks, b)
+	*t = task{buf: buf}
+	e.freeTasks = append(e.freeTasks, t)
 }
 
 // draw runs the sequential draw stage for iteration i: pick a seed from
 // the pool, propose a mutator, log the DrawRecord. State read here
-// (pool, selector chain) was last written by commit(i−D). The task is
-// filled in place inside its dispatch block.
+// (pool, selector chain) was last written by commit(i−D).
 func (e *engine) draw(i int, t *task) {
 	sp := telemetry.StartSpan(e.tel.draw)
 	if e.drawR == nil {
@@ -543,7 +409,7 @@ func (e *engine) draw(i int, t *task) {
 		e.obs.emit(IterationStarted{Iter: i, PoolIndex: idx, MutatorID: muID})
 	}
 	sp.End()
-	*t = task{iter: i, parent: pe.class, rec: rec}
+	t.iter, t.parent, t.rec = i, pe.class, rec
 }
 
 // redraw re-enters a recorded in-flight iteration into the pipeline
@@ -558,7 +424,7 @@ func (e *engine) redraw(rec DrawRecord, t *task) {
 	if e.obs.o != nil {
 		e.obs.emit(IterationStarted{Iter: rec.Iter, PoolIndex: rec.PoolIndex, MutatorID: rec.MutatorID})
 	}
-	*t = task{iter: rec.Iter, parent: e.pool[rec.PoolIndex].class, rec: fresh}
+	t.iter, t.parent, t.rec = rec.Iter, e.pool[rec.PoolIndex].class, fresh
 }
 
 // workerScratch is one worker's long-lived arenas: the instrumented
@@ -583,12 +449,10 @@ func (ws *workerScratch) mutateRNG(campaignSeed int64, iter int) *rand.Rand {
 	return ws.rng
 }
 
-// process runs the mutate/filter/execute stages for one task on a
-// worker. It touches no engine state except the (versioned, locked)
-// prefilter cache; everything else flows through the task, the
-// worker's scratch, and the enclosing block's buffer pool.
-func (e *engine) process(t *task, ws *workerScratch, b *block) {
-	vm, rec := ws.vm, ws.rec
+// process runs the mutate/execute stages for one task on a worker. It
+// touches no engine state: everything flows through the task and the
+// worker's scratch.
+func (e *engine) process(t *task, ws *workerScratch) {
 	spMutate := telemetry.StartSpan(e.tel.mutate)
 	rng := ws.mutateRNG(e.cfg.Rand, t.iter)
 	mutant := t.parent.Clone()
@@ -601,15 +465,20 @@ func (e *engine) process(t *task, ws *workerScratch, b *block) {
 	finishMutant(mutant, t.iter)
 	t.mutant = mutant
 
-	// Lower through the worker's reused context and serialise into a
-	// buffer recycled from the block's pool (bytes identical to a fresh
-	// lower() — only where the scratch lives differs).
+	// Lower through the worker's reused context and serialise into the
+	// task's recycled buffer (bytes identical to a fresh lower() — only
+	// where the scratch lives differs).
 	f, err := ws.lctx.Lower(mutant)
 	if err != nil {
 		spMutate.End()
 		return
 	}
-	data, err := f.AppendBytes(b.takeBuf())
+	buf := t.buf
+	t.buf = nil
+	if buf == nil {
+		buf = make([]byte, 0, 1024)
+	}
+	data, err := f.AppendBytes(buf)
 	spMutate.End()
 	if err != nil {
 		return
@@ -620,75 +489,16 @@ func (e *engine) process(t *task, ws *workerScratch, b *block) {
 	if !e.coverageDirected {
 		return // randfuzz never runs the reference VM
 	}
-	var parsed *classfile.File
-	if e.pf != nil {
-		spPf := telemetry.StartSpan(e.tel.prefilter)
-		t.checked = true
-		if f, perr := classfile.Parse(data); perr == nil {
-			parsed = f
-			t.parsed = true
-			if d := analysis.LoadReject(f, &e.pf.spec.Policy); d != nil {
-				t.doomed = true
-				t.fp = analysis.Fingerprint(f)
-				// Only cache entries committed at least Lookahead
-				// iterations ago are visible — see prefilter.
-				if tr, ok := e.pf.lookup(t.fp, t.iter-e.lookahead); ok {
-					t.cacheHit = true
-					t.trace = tr
-					spPf.End()
-					return
-				}
-			} else {
-				// Verify band: a load-clean mutant the oracle still
-				// definitely rejects during linking (hierarchy,
-				// resolution, §4.10 dataflow verification) can reuse a
-				// trace recorded for a masked-byte-equal predecessor —
-				// same visibility window as the load band.
-				t.verifyChecked = true
-				vfp := analysis.VerifyFingerprint(data, f.Name()) ^ verifyBandTag
-				if e.pf.verifyReject(f, vfp) {
-					t.verifyDoomed = true
-					t.fp = vfp
-					if tr, ok := e.pf.lookup(vfp, t.iter-e.lookahead); ok {
-						t.cacheHit = true
-						t.trace = tr
-						spPf.End()
-						return
-					}
-				}
-			}
-		}
-		spPf.End()
-	}
 	spExec := telemetry.StartSpan(e.tel.exec)
-	rec.Reset()
-	if parsed != nil {
-		// The prefilter already parsed these bytes successfully; reuse
-		// the parse (RunParsed fires the parse probes, so the trace is
-		// identical to vm.Run re-parsing the same data).
-		vm.RunParsed(parsed)
-	} else {
-		vm.Run(data)
-	}
-	t.trace = rec.Trace()
+	ws.rec.Reset()
+	ws.vm.Run(data)
+	t.trace = ws.rec.Trace()
 	spExec.End()
 }
 
-// commitRef waits for the task's block to finish processing, commits
-// the task, and recycles the block after its last task commits. The
-// wait is per block, not per task; tasks inside a block still commit
-// one at a time, in iteration order.
-func (e *engine) commitRef(ref taskRef) {
-	<-ref.b.done
-	e.commit(&ref.b.tasks[ref.idx])
-	if ref.idx == len(ref.b.tasks)-1 {
-		e.recycle(ref.b)
-	}
-}
-
 // commit runs the sequential commit stage for one task, in iteration
-// order: prefilter bookkeeping, the acceptance decision against the
-// suite, pool recycling and selector feedback.
+// order: the acceptance decision against the suite, pool recycling and
+// selector feedback.
 func (e *engine) commit(t *task) {
 	sp := telemetry.StartSpan(e.tel.commit)
 	defer sp.End()
@@ -710,40 +520,10 @@ func (e *engine) commit(t *task) {
 	}
 	e.res.Draws[t.iter].Generated = true
 	e.tel.generated.Inc()
-
-	if t.checked {
-		e.tel.pfChecked.Inc()
-		e.tel.verdicts.Observe(t.doomed || t.verifyDoomed)
-		switch {
-		case !t.parsed:
-			e.tel.dataflow.Unknown.Inc()
-		case t.verifyChecked && t.verifyDoomed:
-			e.tel.dataflow.Reject.Inc()
-		case t.verifyChecked:
-			e.tel.dataflow.Definite.Inc()
-		}
-		if t.doomed || t.verifyDoomed {
-			e.tel.pfDoomed.Inc()
-			if t.verifyDoomed {
-				e.tel.pfVerify.Inc()
-			}
-			if t.cacheHit {
-				e.tel.pfSkipped.Inc()
-				if e.obs.o != nil {
-					e.obs.emit(PrefilterHit{Iter: t.iter})
-				}
-			} else {
-				e.tel.pfExecuted.Inc()
-				e.pf.insert(t.fp, t.trace, t.iter)
-			}
-		}
-	}
 	if e.coverageDirected {
-		if !t.cacheHit {
-			e.tel.executions.Inc()
-		}
+		e.tel.executions.Inc()
 		if e.obs.o != nil {
-			e.obs.emit(Executed{Iter: t.iter, Skipped: t.cacheHit})
+			e.obs.emit(Executed{Iter: t.iter})
 		}
 	}
 
@@ -821,10 +601,6 @@ func (e *engine) finalize() {
 		res.Coverage = e.greedyUnion
 	case e.coverageDirected:
 		res.Coverage = e.mergedCov
-	}
-	if e.pf != nil {
-		pf := e.tel.prefilterStats()
-		res.Prefilter = &pf
 	}
 	res.MutatorStats = make([]MutatorStat, len(e.muts))
 	for i, m := range e.muts {

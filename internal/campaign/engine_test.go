@@ -47,19 +47,9 @@ func TestObserverCountersConsistent(t *testing.T) {
 	if c.Accepts != len(res.Test) {
 		t.Errorf("observer accepts %d, result tests %d", c.Accepts, len(res.Test))
 	}
-	pf := res.Prefilter
-	if pf == nil {
-		t.Fatal("prefilter stats missing")
-	}
-	if c.PrefilterHits != pf.Skipped {
-		t.Errorf("observer prefilter hits %d, stats skipped %d", c.PrefilterHits, pf.Skipped)
-	}
-	// Every generated mutant is either executed or served from the cache.
-	if c.Executions+c.PrefilterHits != len(res.Gen) {
-		t.Errorf("executions %d + cache hits %d != generated %d", c.Executions, c.PrefilterHits, len(res.Gen))
-	}
-	if pf.Doomed != pf.Skipped+pf.Executed {
-		t.Errorf("doomed %d != skipped %d + executed %d", pf.Doomed, pf.Skipped, pf.Executed)
+	// Every generated mutant runs on the reference VM.
+	if c.Executions != len(res.Gen) {
+		t.Errorf("observer executions %d != generated %d", c.Executions, len(res.Gen))
 	}
 }
 
@@ -74,9 +64,7 @@ func (r *recordingObserver) Event(ev Event) {
 	case Mutated:
 		r.events = append(r.events, fmt.Sprintf("mutated %d %d %v", e.Iter, e.MutatorID, e.Applied))
 	case Executed:
-		r.events = append(r.events, fmt.Sprintf("executed %d %v", e.Iter, e.Skipped))
-	case PrefilterHit:
-		r.events = append(r.events, fmt.Sprintf("hit %d", e.Iter))
+		r.events = append(r.events, fmt.Sprintf("executed %d", e.Iter))
 	case Accepted:
 		r.events = append(r.events, fmt.Sprintf("accepted %d %s %d/%d", e.Iter, e.Name, e.Stats.Stmts, e.Stats.Branches))
 	case SelectorUpdated:
@@ -84,33 +72,9 @@ func (r *recordingObserver) Event(ev Event) {
 	}
 }
 
-// legacyRecordingObserver is the same recorder written against the old
-// six-method surface, to pin the Legacy adapter's dispatch.
-type legacyRecordingObserver struct{ events []string }
-
-func (r *legacyRecordingObserver) IterationStarted(iter, poolIndex, mutatorID int) {
-	r.events = append(r.events, fmt.Sprintf("start %d %d %d", iter, poolIndex, mutatorID))
-}
-func (r *legacyRecordingObserver) Mutated(iter, mutatorID int, applied bool) {
-	r.events = append(r.events, fmt.Sprintf("mutated %d %d %v", iter, mutatorID, applied))
-}
-func (r *legacyRecordingObserver) Executed(iter int, skipped bool) {
-	r.events = append(r.events, fmt.Sprintf("executed %d %v", iter, skipped))
-}
-func (r *legacyRecordingObserver) PrefilterHit(iter int) {
-	r.events = append(r.events, fmt.Sprintf("hit %d", iter))
-}
-func (r *legacyRecordingObserver) Accepted(iter int, name string, stats coverage.Stats) {
-	r.events = append(r.events, fmt.Sprintf("accepted %d %s %d/%d", iter, name, stats.Stmts, stats.Branches))
-}
-func (r *legacyRecordingObserver) SelectorUpdated(iter, mutatorID int, success bool) {
-	r.events = append(r.events, fmt.Sprintf("selector %d %d %v", iter, mutatorID, success))
-}
-
 // TestObserverEventOrderDeterministic: the full event stream — not just
 // the totals — is identical at any worker count, because every event
-// fires from the sequential draw/commit stages. The Legacy adapter must
-// see the identical stream through the old six-method surface.
+// fires from the sequential draw/commit stages.
 func TestObserverEventOrderDeterministic(t *testing.T) {
 	run := func(workers int) []string {
 		o := &recordingObserver{}
@@ -123,19 +87,11 @@ func TestObserverEventOrderDeterministic(t *testing.T) {
 		return o.events
 	}
 	one, four := run(1), run(4)
+	if len(one) == 0 {
+		t.Fatal("observer saw no events")
+	}
 	if !reflect.DeepEqual(one, four) {
 		t.Error("observer event stream differs between workers=1 and workers=4")
-	}
-
-	legacy := &legacyRecordingObserver{}
-	cfg := detConfig(Uniquefuzz)
-	cfg.Workers = 4
-	cfg.Observer = Legacy{O: legacy}
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(one, legacy.events) {
-		t.Error("Legacy adapter's event stream differs from the native Event stream")
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // concurrent campaigns must synchronise itself.
 //
 // The concrete event types are IterationStarted, Mutated, Executed,
-// PrefilterHit, Accepted and SelectorUpdated.
+// Accepted and SelectorUpdated.
 type Event interface {
 	// campaignEvent marks the closed set of event types.
 	campaignEvent()
@@ -39,16 +39,8 @@ type Mutated struct {
 }
 
 // Executed fires at commit for every coverage-directed iteration that
-// produced a classfile; Skipped reports that the prefilter's trace
-// cache stood in for the reference-VM run.
+// produced a classfile, after its reference-VM run.
 type Executed struct {
-	Iter    int
-	Skipped bool
-}
-
-// PrefilterHit fires at commit when the static prefilter's cache
-// avoided a reference-VM execution.
-type PrefilterHit struct {
 	Iter int
 }
 
@@ -70,7 +62,6 @@ type SelectorUpdated struct {
 func (IterationStarted) campaignEvent() {}
 func (Mutated) campaignEvent()          {}
 func (Executed) campaignEvent()         {}
-func (PrefilterHit) campaignEvent()     {}
 func (Accepted) campaignEvent()         {}
 func (SelectorUpdated) campaignEvent()  {}
 
@@ -84,13 +75,12 @@ type Observer interface {
 // Counters is an Observer tallying every event class; cmd/report and
 // the cmd progress lines read campaigns off it.
 type Counters struct {
-	Iterations    int // draws performed
-	Applied       int // mutants that produced a classfile
-	Failed        int // inapplicable mutators / unlowerable mutants
-	Executions    int // reference-VM runs
-	PrefilterHits int // executions the trace cache absorbed
-	Accepts       int // mutants accepted into TestClasses
-	Committed     int // iterations fully committed
+	Iterations int // draws performed
+	Applied    int // mutants that produced a classfile
+	Failed     int // inapplicable mutators / unlowerable mutants
+	Executions int // reference-VM runs
+	Accepts    int // mutants accepted into TestClasses
+	Committed  int // iterations fully committed
 }
 
 // Event implements Observer.
@@ -105,11 +95,7 @@ func (c *Counters) Event(ev Event) {
 			c.Failed++
 		}
 	case Executed:
-		if !e.Skipped {
-			c.Executions++
-		}
-	case PrefilterHit:
-		c.PrefilterHits++
+		c.Executions++
 	case Accepted:
 		c.Accepts++
 	case SelectorUpdated:
@@ -119,8 +105,8 @@ func (c *Counters) Event(ev Event) {
 
 // String renders the tallies on one line.
 func (c *Counters) String() string {
-	return fmt.Sprintf("iterations=%d applied=%d failed=%d executions=%d prefilter-hits=%d accepted=%d",
-		c.Iterations, c.Applied, c.Failed, c.Executions, c.PrefilterHits, c.Accepts)
+	return fmt.Sprintf("iterations=%d applied=%d failed=%d executions=%d accepted=%d",
+		c.Iterations, c.Applied, c.Failed, c.Executions, c.Accepts)
 }
 
 // Progress is an Observer printing a live line every Every committed
@@ -152,8 +138,8 @@ func (p *Progress) Event(ev Event) {
 		return
 	}
 	if p.Committed%p.Every == 0 || p.Committed == p.Total {
-		fmt.Fprintf(p.W, "[campaign] %d/%d committed: %d generated, %d accepted, %d prefilter hits\n",
-			p.Committed, p.Total, p.Applied, p.Accepts, p.PrefilterHits)
+		fmt.Fprintf(p.W, "[campaign] %d/%d committed: %d generated, %d accepted\n",
+			p.Committed, p.Total, p.Applied, p.Accepts)
 	}
 }
 
@@ -164,45 +150,6 @@ type Multi []Observer
 func (m Multi) Event(ev Event) {
 	for _, o := range m {
 		o.Event(ev)
-	}
-}
-
-// LegacyObserver is the pre-event-sink observer surface: one method
-// per event class. Wrap implementations in Legacy to keep them
-// working against the Event API.
-type LegacyObserver interface {
-	IterationStarted(iter, poolIndex, mutatorID int)
-	Mutated(iter, mutatorID int, applied bool)
-	Executed(iter int, skipped bool)
-	PrefilterHit(iter int)
-	Accepted(iter int, name string, stats coverage.Stats)
-	SelectorUpdated(iter, mutatorID int, success bool)
-}
-
-// Legacy adapts a LegacyObserver to the Event interface, dispatching
-// each typed event to the corresponding legacy method.
-type Legacy struct {
-	O LegacyObserver
-}
-
-// Event implements Observer.
-func (l Legacy) Event(ev Event) {
-	if l.O == nil {
-		return
-	}
-	switch e := ev.(type) {
-	case IterationStarted:
-		l.O.IterationStarted(e.Iter, e.PoolIndex, e.MutatorID)
-	case Mutated:
-		l.O.Mutated(e.Iter, e.MutatorID, e.Applied)
-	case Executed:
-		l.O.Executed(e.Iter, e.Skipped)
-	case PrefilterHit:
-		l.O.PrefilterHit(e.Iter)
-	case Accepted:
-		l.O.Accepted(e.Iter, e.Name, e.Stats)
-	case SelectorUpdated:
-		l.O.SelectorUpdated(e.Iter, e.MutatorID, e.Success)
 	}
 }
 

@@ -7,25 +7,6 @@ import (
 	"repro/internal/jimple"
 )
 
-// PrefilterStats counts the static prefilter's work in one campaign.
-type PrefilterStats struct {
-	// Checked is the number of mutants the prefilter inspected.
-	Checked int
-	// Doomed is how many were statically certain rejects — a
-	// loading-phase format reject (the load band) or a linking-phase
-	// reject from the dataflow oracle (the verify band).
-	Doomed int
-	// VerifyDoomed is the verify-band subset of Doomed: load-clean
-	// mutants the oracle definitely rejects during linking (hierarchy,
-	// resolution, §4.10 verification).
-	VerifyDoomed int
-	// Skipped is how many reference-VM executions the trace cache
-	// avoided.
-	Skipped int
-	// Executed is how many doomed mutants ran anyway to seed the cache.
-	Executed int
-}
-
 // GenClass is one generated mutant.
 type GenClass struct {
 	// Iter is the campaign iteration that produced the mutant; with the
@@ -103,20 +84,16 @@ type Result struct {
 	// among generated classes (the paper's representativeness metric for
 	// GenClasses; zero for randfuzz).
 	GenUniqueStats int
-	// Prefilter holds the static prefilter's counters when
-	// Config.StaticPrefilter was set.
-	Prefilter *PrefilterStats
 	// MutatorStats is indexed by mutator ID.
 	MutatorStats []MutatorStat
 	// Draws is the per-iteration draw log (indexed by iteration; empty
 	// for bytefuzz, whose pool holds raw bytes rather than models).
 	Draws []DrawRecord
-	// Workers, Lookahead and Batch record the engine configuration the
-	// result was produced under (Workers and Batch are provenance only —
-	// they cannot change the numbers above).
+	// Workers and Lookahead record the engine configuration the result
+	// was produced under (Workers is provenance only — it cannot change
+	// the numbers above).
 	Workers   int
 	Lookahead int
-	Batch     int
 	Elapsed   time.Duration
 	// Coverage is the word-OR of the seed traces and every accepted
 	// trace — the campaign's merged footprint on the reference VM (nil

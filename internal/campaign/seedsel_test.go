@@ -29,13 +29,12 @@ func schedConfig(t *testing.T, strategy seedsel.Strategy) Config {
 		t.Fatalf("seedsel.New(%s): %v", strategy, err)
 	}
 	return Config{
-		Algorithm:       Classfuzz,
-		Criterion:       coverage.STBR,
-		Source:          sched,
-		Iterations:      160,
-		Rand:            17,
-		RefSpec:         jvm.HotSpot9(),
-		StaticPrefilter: true,
+		Algorithm:  Classfuzz,
+		Criterion:  coverage.STBR,
+		Source:     sched,
+		Iterations: 160,
+		Rand:       17,
+		RefSpec:    jvm.HotSpot9(),
 	}
 }
 
@@ -102,9 +101,9 @@ func TestSchedulerGoldens(t *testing.T) {
 	}
 }
 
-// TestSchedulerDeterministicAcrossWorkers sweeps workers 1, 4,
-// GOMAXPROCS crossed with batch 1 and 8 for both scheduling
-// strategies: identical summaries everywhere, like the flat draw.
+// TestSchedulerDeterministicAcrossWorkers sweeps workers 1, 4 and
+// GOMAXPROCS for both scheduling strategies: identical summaries
+// everywhere, like the flat draw.
 func TestSchedulerDeterministicAcrossWorkers(t *testing.T) {
 	for _, strategy := range schedStrategies {
 		strategy := strategy
@@ -113,23 +112,20 @@ func TestSchedulerDeterministicAcrossWorkers(t *testing.T) {
 			var want summary
 			first := true
 			for _, w := range workerCounts() {
-				for _, batch := range []int{1, 8} {
-					cfg := schedConfig(t, strategy)
-					cfg.Workers = w
-					cfg.Batch = batch
-					res, err := Run(cfg)
-					if err != nil {
-						t.Fatalf("workers=%d batch=%d: %v", w, batch, err)
-					}
-					got := summarize(res)
-					if first {
-						want = got
-						first = false
-						continue
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("workers=%d batch=%d diverges from canonical run", w, batch)
-					}
+				cfg := schedConfig(t, strategy)
+				cfg.Workers = w
+				res, err := Run(cfg)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", w, err)
+				}
+				got := summarize(res)
+				if first {
+					want = got
+					first = false
+					continue
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("workers=%d diverges from canonical run", w)
 				}
 			}
 		})
@@ -139,8 +135,7 @@ func TestSchedulerDeterministicAcrossWorkers(t *testing.T) {
 // TestSchedulerKillResume: interrupting a scheduled campaign and
 // resuming from the JSON round-tripped snapshot — with a FRESH
 // scheduler, as the SeedSource contract requires — must reproduce the
-// uninterrupted run bit-for-bit (modulo the prefilter cache split,
-// which restarts cold like every resume — the sum is checked instead).
+// uninterrupted run bit-for-bit.
 // This exercises the snapshot's seed_sched cross-check: restore
 // replays the committed prefix into the new scheduler and verifies its
 // serialized state against the checkpoint.
@@ -194,11 +189,6 @@ func TestSchedulerKillResume(t *testing.T) {
 				}
 				if got := resumeSummarize(res); !reflect.DeepEqual(got, want) {
 					t.Errorf("stopAt=%d: resumed summary diverges from uninterrupted run", stopAt)
-				}
-				if pf, rpf := res.Prefilter, full.Prefilter; pf == nil || rpf == nil ||
-					pf.Checked != rpf.Checked || pf.Doomed != rpf.Doomed ||
-					pf.Skipped+pf.Executed != rpf.Skipped+rpf.Executed {
-					t.Errorf("stopAt=%d: prefilter stats drift beyond the cache split: %+v vs %+v", stopAt, pf, rpf)
 				}
 			}
 		})

@@ -18,7 +18,7 @@ import "repro/internal/jimple"
 // be a pure function of its construction inputs and the exact sequence
 // of Pick/Observe/Grew calls — no clocks, no shared RNGs, no
 // goroutines — so campaign results stay bit-identical at any worker
-// count and batch size, and so snapshot restore can rebuild the
+// count, and so snapshot restore can rebuild the
 // source's state by replaying the recorded interleaving. A stateful
 // source serves exactly one engine run: Resume must be handed a fresh
 // one (the restore replays the committed prefix into it).

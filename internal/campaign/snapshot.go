@@ -38,12 +38,6 @@ const SnapshotVersion = 2
 // draw observe commits newer than its lookahead window, so a "fully
 // drained" state mid-campaign does not exist and is not a valid resume
 // point.
-//
-// The one non-invariant across a kill/resume pair is the static
-// prefilter's trace cache, which restarts cold: PrefilterStats.Skipped
-// vs .Executed may split differently after a resume (their sum, and
-// every acceptance decision, stay identical). The Prefilter field
-// carries the counters as of the snapshot so totals remain meaningful.
 type Snapshot struct {
 	Version   int       `json:"version"`
 	Algorithm Algorithm `json:"algorithm"`
@@ -79,9 +73,6 @@ type Snapshot struct {
 	// Gens records the committed generated iterations in commit order
 	// (a subsequence of 0..Committed-1).
 	Gens []GenEntry `json:"gens"`
-	// Prefilter carries the prefilter counters as of the snapshot, when
-	// the campaign ran with StaticPrefilter.
-	Prefilter *PrefilterStats `json:"prefilter,omitempty"`
 }
 
 // GenEntry is one committed, generated iteration's outcome in a
@@ -223,10 +214,6 @@ func (e *engine) snapshot() *Snapshot {
 		Committed:       e.committed,
 		Draws:           draws,
 		Gens:            append([]GenEntry(nil), e.genLog...),
-	}
-	if e.pf != nil {
-		pf := e.tel.prefilterStats()
-		s.Prefilter = &pf
 	}
 	if st, err := e.src.MarshalState(); err == nil && len(st) > 0 {
 		s.SeedSched = json.RawMessage(st)
@@ -607,17 +594,6 @@ func (e *engine) restore(snap *Snapshot) error {
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
 			return fmt.Errorf("campaign: replayed seed-scheduler state diverges from snapshot")
 		}
-	}
-
-	// Carry the prefilter counters forward so post-resume PrefilterStats
-	// remain cumulative (the trace cache itself restarts cold — see the
-	// Snapshot doc comment).
-	if snap.Prefilter != nil && e.pf != nil {
-		e.tel.pfChecked.Add(int64(snap.Prefilter.Checked))
-		e.tel.pfDoomed.Add(int64(snap.Prefilter.Doomed))
-		e.tel.pfVerify.Add(int64(snap.Prefilter.VerifyDoomed))
-		e.tel.pfSkipped.Add(int64(snap.Prefilter.Skipped))
-		e.tel.pfExecuted.Add(int64(snap.Prefilter.Executed))
 	}
 
 	e.genLog = append([]GenEntry(nil), snap.Gens...)

@@ -11,9 +11,8 @@ import (
 // method-verification memo: campaigns run with the memo disabled
 // (cold verifier every time), with the default engine-private memo,
 // and with an injected pre-warmed memo must produce bit-identical
-// summaries — accepted suites, draw logs, mutator statistics and
-// prefilter counters — at every worker count the determinism matrix
-// sweeps. The memo may only move wall clock, never results.
+// summaries — accepted suites, draw logs and mutator statistics — at
+// every worker count the determinism matrix sweeps. The memo may only move wall clock, never results.
 func TestVerifyMemoObserveEquivalence(t *testing.T) {
 	for _, alg := range detAlgorithms {
 		alg := alg

@@ -18,7 +18,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/coverage"
 	"repro/internal/difftest"
-	"repro/internal/fuzz"
 	"repro/internal/jimple"
 	"repro/internal/jvm"
 	"repro/internal/mcmc"
@@ -144,7 +143,7 @@ func NewSession(s Scale) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	mk := func(alg fuzz.Algorithm, crit coverage.Criterion, iters int) (*fuzz.Result, *telemetry.Registry, error) {
+	mk := func(alg campaign.Algorithm, crit coverage.Criterion, iters int) (*campaign.Result, *telemetry.Registry, error) {
 		reg := telemetry.New()
 		// Sources are stateful under the scheduling strategies, so each
 		// campaign gets a fresh one.
@@ -152,7 +151,7 @@ func NewSession(s Scale) (*Session, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		res, err := fuzz.Run(fuzz.Config{
+		res, err := campaign.Run(campaign.Config{
 			Algorithm:   alg,
 			Criterion:   crit,
 			Source:      src,
@@ -179,17 +178,17 @@ func NewSession(s Scale) (*Session, error) {
 	sess.Memo.UseTelemetry(sess.Telemetry)
 	type job struct {
 		key   string
-		alg   fuzz.Algorithm
+		alg   campaign.Algorithm
 		crit  coverage.Criterion
 		iters int
 	}
 	jobs := []job{
-		{KeyClassfuzzSTBR, fuzz.Classfuzz, coverage.STBR, s.Iterations},
-		{KeyClassfuzzST, fuzz.Classfuzz, coverage.ST, s.Iterations},
-		{KeyClassfuzzTR, fuzz.Classfuzz, coverage.TR, s.Iterations},
-		{KeyUniquefuzz, fuzz.Uniquefuzz, coverage.STBR, s.Iterations},
-		{KeyGreedyfuzz, fuzz.Greedyfuzz, coverage.STBR, s.Iterations},
-		{KeyRandfuzz, fuzz.Randfuzz, coverage.STBR, s.Iterations * s.RandfuzzFactor},
+		{KeyClassfuzzSTBR, campaign.Classfuzz, coverage.STBR, s.Iterations},
+		{KeyClassfuzzST, campaign.Classfuzz, coverage.ST, s.Iterations},
+		{KeyClassfuzzTR, campaign.Classfuzz, coverage.TR, s.Iterations},
+		{KeyUniquefuzz, campaign.Uniquefuzz, coverage.STBR, s.Iterations},
+		{KeyGreedyfuzz, campaign.Greedyfuzz, coverage.STBR, s.Iterations},
+		{KeyRandfuzz, campaign.Randfuzz, coverage.STBR, s.Iterations * s.RandfuzzFactor},
 	}
 	// The six campaigns share nothing but the (read-only) seed corpus,
 	// so the session fans them out concurrently; each campaign's own
@@ -289,7 +288,7 @@ type Table5 struct{ Rows []Table5Row }
 func (s *Session) Table5() *Table5 {
 	r := s.Campaigns[KeyClassfuzzSTBR]
 	total := r.Iterations
-	stats := append([]fuzz.MutatorStat(nil), r.MutatorStats...)
+	stats := append([]campaign.MutatorStat(nil), r.MutatorStats...)
 	sort.SliceStable(stats, func(a, b int) bool {
 		ra, rb := stats[a].Rate(), stats[b].Rate()
 		if ra != rb {
@@ -559,9 +558,9 @@ func RunMCMCGainStudy(scale Scale, repeats int) (*MCMCGainStudy, error) {
 	study := &MCMCGainStudy{Repeats: repeats, Iterations: scale.Iterations}
 	for r := 0; r < repeats; r++ {
 		seeds := seedgen.Generate(seedgen.DefaultOptions(scale.SeedCount, scale.Seed+int64(r)))
-		run := func(alg fuzz.Algorithm) (int, error) {
-			res, err := fuzz.Run(fuzz.Config{
-				Algorithm: alg, Criterion: coverage.STBR, Source: fuzz.FlatSeeds(seeds),
+		run := func(alg campaign.Algorithm) (int, error) {
+			res, err := campaign.Run(campaign.Config{
+				Algorithm: alg, Criterion: coverage.STBR, Source: campaign.FlatSeeds(seeds),
 				Iterations: scale.Iterations, Rand: scale.Seed + int64(r)*31,
 				RefSpec: jvm.HotSpot9(),
 			})
@@ -570,11 +569,11 @@ func RunMCMCGainStudy(scale Scale, repeats int) (*MCMCGainStudy, error) {
 			}
 			return len(res.Test), nil
 		}
-		c, err := run(fuzz.Classfuzz)
+		c, err := run(campaign.Classfuzz)
 		if err != nil {
 			return nil, err
 		}
-		u, err := run(fuzz.Uniquefuzz)
+		u, err := run(campaign.Uniquefuzz)
 		if err != nil {
 			return nil, err
 		}
@@ -611,9 +610,9 @@ func RunBlindBaseline(scale Scale) (*BlindBaseline, error) {
 	seeds := seedgen.Generate(seedgen.DefaultOptions(scale.SeedCount, scale.Seed))
 	runner := difftest.NewStandardRunner()
 	out := &BlindBaseline{Iterations: scale.Iterations}
-	for _, alg := range []fuzz.Algorithm{fuzz.Bytefuzz, fuzz.Randfuzz} {
-		res, err := fuzz.Run(fuzz.Config{
-			Algorithm: alg, Criterion: coverage.STBR, Source: fuzz.FlatSeeds(seeds),
+	for _, alg := range []campaign.Algorithm{campaign.Bytefuzz, campaign.Randfuzz} {
+		res, err := campaign.Run(campaign.Config{
+			Algorithm: alg, Criterion: coverage.STBR, Source: campaign.FlatSeeds(seeds),
 			Iterations: scale.Iterations, Rand: scale.Seed + 3, RefSpec: jvm.HotSpot9(),
 		})
 		if err != nil {
@@ -649,7 +648,7 @@ func RunBlindBaseline(scale Scale) (*BlindBaseline, error) {
 			rate = float64(loadRejected) / float64(n)
 			diff = float64(discrepant) / float64(n)
 		}
-		if alg == fuzz.Bytefuzz {
+		if alg == campaign.Bytefuzz {
 			out.ByteLoadReject = rate
 			out.ByteDiff = diff
 		} else {

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/campaign"
 	"repro/internal/coverage"
 	"repro/internal/difftest"
-	"repro/internal/fuzz"
 	"repro/internal/jimple"
 	"repro/internal/jvm"
 	"repro/internal/seedgen"
@@ -27,9 +27,9 @@ func parseScaleStrategy(s string) (seedsel.Strategy, error) {
 // adapter, or a fresh scheduler (stateful — one per campaign run). The
 // scheduler is also returned directly so callers can read its cluster
 // table after the run.
-func seedSourceFor(strategy seedsel.Strategy, seeds []*jimple.Class, reg *telemetry.Registry) (fuzz.SeedSource, *seedsel.Scheduler, error) {
+func seedSourceFor(strategy seedsel.Strategy, seeds []*jimple.Class, reg *telemetry.Registry) (campaign.SeedSource, *seedsel.Scheduler, error) {
 	if strategy == seedsel.Uniform {
-		return fuzz.FlatSeeds(seeds), nil, nil
+		return campaign.FlatSeeds(seeds), nil, nil
 	}
 	sched, err := seedsel.New(seeds, seedsel.Options{Strategy: strategy, RefSpec: jvm.HotSpot9(), Telemetry: reg})
 	if err != nil {
@@ -83,13 +83,13 @@ func RunSeedStrategyStudy(scale Scale) (*SeedStrategyStudy, error) {
 	runner := difftest.NewStandardRunner()
 	study := &SeedStrategyStudy{SeedCount: scale.SeedCount, Iterations: scale.Iterations}
 
-	run := func(strategy seedsel.Strategy, reg *telemetry.Registry) (*fuzz.Result, *seedsel.Scheduler, error) {
+	run := func(strategy seedsel.Strategy, reg *telemetry.Registry) (*campaign.Result, *seedsel.Scheduler, error) {
 		src, sched, err := seedSourceFor(strategy, seeds, reg)
 		if err != nil {
 			return nil, nil, err
 		}
-		res, err := fuzz.Run(fuzz.Config{
-			Algorithm: fuzz.Classfuzz, Criterion: coverage.STBR, Source: src,
+		res, err := campaign.Run(campaign.Config{
+			Algorithm: campaign.Classfuzz, Criterion: coverage.STBR, Source: src,
 			Iterations: scale.Iterations, Rand: scale.Seed + 100,
 			RefSpec: jvm.HotSpot9(), Workers: scale.Workers, Telemetry: reg,
 		})
@@ -139,7 +139,7 @@ func RunSeedStrategyStudy(scale Scale) (*SeedStrategyStudy, error) {
 	return study, nil
 }
 
-func drawsEqual(a, b []fuzz.DrawRecord) bool {
+func drawsEqual(a, b []campaign.DrawRecord) bool {
 	if len(a) != len(b) {
 		return false
 	}

@@ -24,16 +24,16 @@ import (
 //     StackMapTable bytes (presets that type-check only ever test the
 //     table for decodability, a pure function of those bytes).
 //
-// The key extends analysis.VerifyFingerprint's self-name masking to
-// method granularity: every Utf8 pool entry equal to the class's own
-// name hashes as an opaque marker instead of its content, so a mutant
-// that differs from its parent only by the generated class name (every
-// generation renames to M<iter>) produces identical keys for untouched
-// methods. Verifier behaviour is invariant under renaming the self
-// class because the name only ever participates as "is this string the
-// class under test?" (resolveClass, catch-type and assignability
-// checks) — except when the self name shadows a platform class, which
-// is why the env-resolvability bit above is part of the context.
+// The key masks the class's self-name: every Utf8 pool entry equal to
+// the class's own name hashes as an opaque marker instead of its
+// content, so a mutant that differs from its parent only by the
+// generated class name (every generation renames to M<iter>) produces
+// identical keys for untouched methods. Verifier behaviour is
+// invariant under renaming the self class because the name only ever
+// participates as "is this string the class under test?" (resolveClass,
+// catch-type and assignability checks) — except when the self name
+// shadows a platform class, which is why the env-resolvability bit
+// above is part of the context.
 //
 // Soundness is by refinement: the key hashes at least every input the
 // verifier reads, so key equality implies the verifier sees equal
@@ -202,6 +202,3 @@ func (ctx *VerifyKeyCtx) Key(m *classfile.Member) (MethodKey, bool) {
 	h.bytes(sm)
 	return MethodKey{Lo: h.lo, Hi: h.hi}, true
 }
-
-// SelfName returns the class name the context masks.
-func (ctx *VerifyKeyCtx) SelfName() string { return ctx.self }

@@ -150,30 +150,6 @@ func (m *VerifyMemo) Len() int {
 	return len(m.m)
 }
 
-// Lookup returns the memoised verdict for (id, key): (nil, true) for a
-// remembered pass, a private copy of the rejection for a remembered
-// failure, or (nil, false) on a miss.
-func (m *VerifyMemo) Lookup(id VerifyIdent, key MethodKey) (*Outcome, bool) {
-	e, ok := m.probe(id, key, false)
-	if !ok {
-		return nil, false
-	}
-	if e.ok {
-		return nil, true
-	}
-	out := e.out
-	return &out, true
-}
-
-// Store records a verdict computed without probe capture (out nil =
-// pass). selfName is the class-under-test name the key masked: a
-// rejection whose message embeds it is lineage-specific text that must
-// not resurface under a different class name, so it is not stored and
-// the unsafe_fallback counter ticks instead.
-func (m *VerifyMemo) Store(id VerifyIdent, key MethodKey, selfName string, out *Outcome) {
-	m.store(id, key, selfName, out, nil, nil, false)
-}
-
 // probe is the locked lookup. needProbes demands an entry carrying a
 // probe footprint (recorder-attached VMs); entries without one read as
 // misses there so the caller re-verifies and upgrades the entry.

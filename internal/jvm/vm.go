@@ -308,8 +308,9 @@ func ParseReject(err error) Outcome {
 // RunParsed executes an already-parsed classfile while firing the same
 // parse probes Run fires on well-formed input, so the coverage trace is
 // bit-identical to a fresh Run over the file's bytes. Callers that have
-// already parsed the bytes successfully (e.g. the campaign prefilter)
-// use this to skip the redundant second parse.
+// already parsed the bytes successfully (e.g. the difftest engine,
+// which parses once for the whole lineup) use this to skip the
+// redundant second parse.
 func (vm *VM) RunParsed(f *classfile.File) Outcome {
 	vm.st(pParseEnter)
 	vm.br(bParseWellformed, false)

@@ -14,7 +14,7 @@
 // draw/commit stages issue: Pick consumes only the per-iteration draw
 // stream it is handed, cluster iteration follows slice order, and every
 // tie breaks toward the lowest index. Campaign results are therefore
-// bit-identical at any worker count and batch size, and a kill/resume
+// bit-identical at any worker count, and a kill/resume
 // replay rebuilds the exact scheduler state (the snapshot carries a
 // serialized copy which restore cross-checks).
 package seedsel

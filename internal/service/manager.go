@@ -153,6 +153,12 @@ type Manager struct {
 	// foldHook, when non-nil, receives every folded epoch's result
 	// after its commit (test hook: the daemon keeps no results).
 	foldHook func(key string, res *campaign.Result)
+	// stopAt, when non-nil, names the iteration at which a shard's
+	// epoch stops at a coordinator boundary, or -1 to run it through,
+	// as Control.StopAt takes it (test hook for deterministic drain
+	// points: the stopped epoch waits, like a drained one, for Stop to
+	// checkpoint it).
+	stopAt func(shard, epoch int) int
 
 	shards   []*shard
 	wg       sync.WaitGroup // shard loops
@@ -552,17 +558,16 @@ func (m *Manager) epochSource(used int, reg *telemetry.Registry) (campaign.SeedS
 // campaignConfig shapes one epoch's engine run.
 func (m *Manager) campaignConfig(sh *shard, epoch int, src campaign.SeedSource, ctrl *campaign.Control, reg *telemetry.Registry) campaign.Config {
 	return campaign.Config{
-		Algorithm:       m.cfg.Algorithm,
-		Criterion:       m.cfg.Criterion,
-		Source:          src,
-		Iterations:      m.cfg.Iterations,
-		Rand:            m.epochSeed(sh.id, epoch),
-		RefSpec:         m.cfg.RefSpec,
-		StaticPrefilter: true,
-		Workers:         m.cfg.Workers,
-		Observer:        sh,
-		Control:         ctrl,
-		Telemetry:       reg,
+		Algorithm:  m.cfg.Algorithm,
+		Criterion:  m.cfg.Criterion,
+		Source:     src,
+		Iterations: m.cfg.Iterations,
+		Rand:       m.epochSeed(sh.id, epoch),
+		RefSpec:    m.cfg.RefSpec,
+		Workers:    m.cfg.Workers,
+		Observer:   sh,
+		Control:    ctrl,
+		Telemetry:  reg,
 	}
 }
 
@@ -577,6 +582,9 @@ func (m *Manager) runShard(sh *shard, cp *ShardCheckpoint) {
 			return
 		}
 		ctrl := campaign.NewControl()
+		if m.stopAt != nil {
+			ctrl.StopAt(m.stopAt(sh.id, epoch))
+		}
 		reg := telemetry.New()
 		var eng *campaign.Engine
 		var sched *seedsel.Scheduler
@@ -617,16 +625,17 @@ func (m *Manager) runShard(sh *shard, cp *ShardCheckpoint) {
 			return
 		}
 		res, err := eng.Run()
+		if err == nil && res.Stopped {
+			// The epoch's handles stay installed: the drain checkpoints
+			// it through its Control, whose final snapshot is the stop
+			// boundary. The partial epoch folds after the restart.
+			sh.setState("stopped")
+			return
+		}
 		sh.endEpoch()
 		if err != nil {
 			m.logf("shard %d epoch %d: %v", sh.id, epoch, err)
 			sh.setState("failed")
-			return
-		}
-		if res.Stopped {
-			// The drain path that asked for the stop wrote the
-			// checkpoint; the partial epoch folds after the restart.
-			sh.setState("stopped")
 			return
 		}
 		m.foldEpoch(sh, epoch, res, reg, sched)

@@ -127,14 +127,52 @@ func unionSummaries(t *testing.T, runs ...map[string]foldSummary) map[string]fol
 	return out
 }
 
+// stopAtHook arms a manager's stopAt hook with deterministic stop
+// points: stops[{shard, epoch}] is the iteration that epoch stops at.
+func stopAtHook(stops map[[2]int]int) func(shard, epoch int) int {
+	return func(shard, epoch int) int {
+		if k, ok := stops[[2]int{shard, epoch}]; ok {
+			return k
+		}
+		return -1
+	}
+}
+
+// stoppedLifetime runs a daemon lifetime on cfg whose epochs stop at
+// the given points, then drains it. Every stop point leaves exactly one
+// checkpoint behind.
+func stoppedLifetime(t *testing.T, cfg Config, stops map[[2]int]int) (*Manager, *foldLog) {
+	t.Helper()
+	m, l := newManager(cfg)
+	m.stopAt = stopAtHook(stops)
+	if err := m.Start(); err != nil {
+		t.Fatalf("start: %v", err)
+	}
+	m.Wait()
+	if err := m.Stop(context.Background()); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if w := m.Session().Telemetry.Snapshot().Counter(MetricCheckpointsWritten); w != int64(len(stops)) {
+		t.Fatalf("drain wrote %d checkpoints, want one per stop point (%d)", w, len(stops))
+	}
+	return m, l
+}
+
+// restoredCount reads a manager's restored-checkpoint counter.
+func restoredCount(m *Manager) int64 {
+	return m.Session().Telemetry.Snapshot().Counter(MetricCheckpointsRestored)
+}
+
 // TestDaemonKillResumeDeterminism is the service-level acceptance
-// test: a daemon stopped mid-flight (graceful drain writes shard
+// test: a daemon drained mid-flight (the drain writes shard
 // checkpoints) and restarted on the same data directory must produce,
 // across both lifetimes, the exact folds an uninterrupted daemon
 // produces — per-epoch accepted suites byte-identical, discrepancy
-// sets equal — at worker counts 1 and 4. Every checkpoint the drain
-// writes is one the restart restores: a drained epoch either folds or
-// checkpoints, never both.
+// sets equal — at worker counts 1 and 4. The drain points are
+// iteration boundaries, not wall-clock delays, so every run exercises
+// the resume path: shard 0 folds epoch 0 and stops in epoch 1 before
+// the lookahead window fills, shard 1 stops in epoch 0 after it. Every
+// checkpoint the drain writes is one the restart restores.
 func TestDaemonKillResumeDeterminism(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		workers := workers
@@ -142,26 +180,11 @@ func TestDaemonKillResumeDeterminism(t *testing.T) {
 			t.Parallel()
 			want, wm := runToCompletion(t, testConfig(t, workers))
 
-			// Interrupted run: start, let some work happen, drain with
-			// checkpoints, then restart the same data directory and run
-			// to completion.
 			cfg := testConfig(t, workers)
-			m1, l1 := newManager(cfg)
-			if err := m1.Start(); err != nil {
-				t.Fatalf("start: %v", err)
-			}
-			time.Sleep(30 * time.Millisecond)
-			if err := m1.Stop(context.Background()); err != nil {
-				t.Fatalf("drain: %v", err)
-			}
-
-			m2, l2 := newManager(cfg)
-			if err := m2.Start(); err != nil {
-				t.Fatalf("restart: %v", err)
-			}
-			m2.Wait()
-			if err := m2.Stop(context.Background()); err != nil {
-				t.Fatalf("final stop: %v", err)
+			_, l1 := stoppedLifetime(t, cfg, map[[2]int]int{{0, 1}: 5, {1, 0}: 37})
+			l2, m2 := runToCompletion(t, cfg)
+			if r := restoredCount(m2); r != 2 {
+				t.Fatalf("drain wrote 2 checkpoints, restart restored %d", r)
 			}
 
 			got := unionSummaries(t, l1.summary(), l2.summary())
@@ -173,11 +196,6 @@ func TestDaemonKillResumeDeterminism(t *testing.T) {
 			if !reflect.DeepEqual(discSet(m2.Discrepancies(0)), discSet(wm.Discrepancies(0))) {
 				t.Fatal("resumed daemon discrepancy set diverges from uninterrupted run")
 			}
-			// The restart resumes exactly what the drain checkpointed.
-			w := m1.Session().Telemetry.Snapshot().Counter(MetricCheckpointsWritten)
-			if r := m2.Session().Telemetry.Snapshot().Counter(MetricCheckpointsRestored); r != w {
-				t.Fatalf("drain wrote %d checkpoints, restart restored %d", w, r)
-			}
 		})
 	}
 }
@@ -186,36 +204,84 @@ func TestDaemonKillResumeDeterminism(t *testing.T) {
 // folded (CheckpointNow raced the fold, or a kill landed between the
 // fold's state write and the checkpoint cleanup) must be ignored on
 // restart, not re-folded — the union across lifetimes still equals
-// the uninterrupted run.
+// the uninterrupted run. The relic is a real mid-epoch checkpoint,
+// restored once and then put back after its epoch folded.
 func TestDaemonStaleCheckpointIgnored(t *testing.T) {
 	want, _ := runToCompletion(t, testConfig(t, 2))
 
 	cfg := testConfig(t, 2)
-	m1, l1 := newManager(cfg)
-	if err := m1.Start(); err != nil {
-		t.Fatalf("start: %v", err)
-	}
-	time.Sleep(20 * time.Millisecond)
-	m1.CheckpointNow() // mid-flight snapshots that will go stale
-	m1.Wait()          // every epoch folds; the snapshots are now relics
-	if err := m1.Stop(context.Background()); err != nil {
-		t.Fatalf("stop: %v", err)
+	m1, l1 := stoppedLifetime(t, cfg, map[[2]int]int{{0, 0}: 20})
+	path := m1.checkpointPath(0)
+	relic, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("drained checkpoint: %v", err)
 	}
 
-	m2, l2 := newManager(cfg)
-	if err := m2.Start(); err != nil {
-		t.Fatalf("restart: %v", err)
+	l2, m2 := runToCompletion(t, cfg)
+	if r := restoredCount(m2); r != 1 {
+		t.Fatalf("drain wrote 1 checkpoint, restart restored %d", r)
 	}
-	m2.Wait()
-	if err := m2.Stop(context.Background()); err != nil {
-		t.Fatalf("final stop: %v", err)
+	if err := os.WriteFile(path, relic, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if n := len(l2.summary()); n != 0 {
+
+	l3, m3 := runToCompletion(t, cfg)
+	if n := len(l3.summary()); n != 0 {
 		t.Fatalf("restart re-folded %d epochs of a completed daemon", n)
+	}
+	if r := restoredCount(m3); r != 0 {
+		t.Fatalf("restart restored %d stale checkpoints", r)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("stale checkpoint not removed (stat: %v)", err)
+	}
+	got := unionSummaries(t, l1.summary(), l2.summary(), l3.summary())
+	if !reflect.DeepEqual(got, want.summary()) {
+		t.Fatal("completed run's folds diverge from the uninterrupted run")
+	}
+}
+
+// TestCheckpointWithPrefilterKeyRestores: checkpoints written before
+// the engine lost its static prefilter carry a "prefilter" counter
+// object in the campaign snapshot. Snapshot decoding ignores it, so
+// such a checkpoint restores, and the folds across both lifetimes
+// equal the uninterrupted run's.
+func TestCheckpointWithPrefilterKeyRestores(t *testing.T) {
+	want, _ := runToCompletion(t, testConfig(t, 1))
+
+	cfg := testConfig(t, 1)
+	m1, l1 := stoppedLifetime(t, cfg, map[[2]int]int{{1, 1}: 30})
+	path := m1.checkpointPath(1)
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("drained checkpoint: %v", err)
+	}
+	var cp map[string]json.RawMessage
+	if err := json.Unmarshal(blob, &cp); err != nil {
+		t.Fatal(err)
+	}
+	var snap map[string]json.RawMessage
+	if err := json.Unmarshal(cp["campaign"], &snap); err != nil {
+		t.Fatal(err)
+	}
+	snap["prefilter"] = json.RawMessage(`{"Checked":22,"Doomed":15,"VerifyDoomed":9,"Skipped":1,"Executed":14}`)
+	if cp["campaign"], err = json.Marshal(snap); err != nil {
+		t.Fatal(err)
+	}
+	if blob, err = json.Marshal(cp); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	l2, m2 := runToCompletion(t, cfg)
+	if r := restoredCount(m2); r != 1 {
+		t.Fatalf("checkpoint with a prefilter key: restored %d, want 1", r)
 	}
 	got := unionSummaries(t, l1.summary(), l2.summary())
 	if !reflect.DeepEqual(got, want.summary()) {
-		t.Fatal("completed run's folds diverge from the uninterrupted run")
+		t.Fatal("folds across the two lifetimes diverge from the uninterrupted run")
 	}
 }
 
