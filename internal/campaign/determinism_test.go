@@ -284,7 +284,7 @@ func referenceClassfuzz(t *testing.T, cfg Config) []string {
 		pool = append(pool, poolEntry{class: s, iter: -1})
 	}
 	for _, s := range cfg.Source.Corpus() {
-		tr, _, err := runOnRef(vm, rec, s)
+		tr, err := runOnRef(vm, rec, s)
 		if err != nil {
 			continue
 		}
@@ -335,7 +335,7 @@ func referenceClassfuzz(t *testing.T, cfg Config) []string {
 		mutant := parent.class.Clone()
 		if muts[muID].Apply(mutant, DeriveRNG(cfg.Rand, i)) {
 			finishMutant(mutant, i)
-			if data, err := lower(mutant); err == nil {
+			if _, data, err := lower(mutant); err == nil {
 				rec.Reset()
 				vm.Run(data)
 				pd.ok = true

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/classfile"
 	"repro/internal/coverage"
 	"repro/internal/jimple"
 	"repro/internal/jvm"
@@ -36,12 +37,11 @@ type task struct {
 	parent *jimple.Class
 	rec    DrawRecord
 
-	// outputs of the mutate/execute stages
-	applied bool // mutator applicable
-	lowered bool // classfile bytes produced
-	mutant  *jimple.Class
-	data    []byte
-	trace   *coverage.Trace
+	// outputs of the mutate/execute stages; data is nil unless the
+	// mutator applied and the mutant lowered and serialised
+	mutant *jimple.Class
+	data   []byte
+	trace  *coverage.Trace
 
 	// dataRetained is set at commit when data escaped into the result
 	// (accepted bytes, or KeepClasses/KeepGenBytes); only an unretained
@@ -235,7 +235,7 @@ func (e *engine) initSeedState() {
 		vm.SetTelemetry(e.cfg.Telemetry)
 	}
 	for _, s := range e.seeds {
-		tr, _, err := runOnRef(vm, rec, s)
+		tr, err := runOnRef(vm, rec, s)
 		if err != nil {
 			continue // unlowerable seed: skip its trace
 		}
@@ -461,13 +461,13 @@ func (e *engine) process(t *task, ws *workerScratch) {
 		spMutate.End()
 		return
 	}
-	t.applied = true
 	finishMutant(mutant, t.iter)
 	t.mutant = mutant
 
 	// Lower through the worker's reused context and serialise into the
 	// task's recycled buffer (bytes identical to a fresh lower() — only
-	// where the scratch lives differs).
+	// where the scratch lives differs). The writer decides Generated and
+	// interns attribute names into f.Pool before the VM runs f itself.
 	f, err := ws.lctx.Lower(mutant)
 	if err != nil {
 		spMutate.End()
@@ -483,7 +483,6 @@ func (e *engine) process(t *task, ws *workerScratch) {
 	if err != nil {
 		return
 	}
-	t.lowered = true
 	t.data = data
 
 	if !e.coverageDirected {
@@ -491,7 +490,7 @@ func (e *engine) process(t *task, ws *workerScratch) {
 	}
 	spExec := telemetry.StartSpan(e.tel.exec)
 	ws.rec.Reset()
-	ws.vm.Run(data)
+	ws.vm.RunParsed(f)
 	t.trace = ws.rec.Trace()
 	spExec.End()
 }
@@ -505,7 +504,7 @@ func (e *engine) commit(t *task) {
 	defer e.tel.committed.Inc()
 	e.committed++
 
-	generated := t.applied && t.lowered
+	generated := t.data != nil
 	if e.obs.o != nil {
 		e.obs.emit(Mutated{Iter: t.iter, MutatorID: t.rec.MutatorID, Applied: generated})
 	}
@@ -653,23 +652,24 @@ func finishMutant(c *jimple.Class, iter int) {
 	}
 }
 
-// lower compiles a mutant to classfile bytes.
-func lower(c *jimple.Class) ([]byte, error) {
+// lower compiles a class to a classfile and its serialised bytes.
+func lower(c *jimple.Class) (*classfile.File, []byte, error) {
 	f, err := jimple.Lower(c)
-	if err != nil {
-		return nil, err
-	}
-	return f.Bytes()
-}
-
-// runOnRef lowers the class and executes it on the instrumented
-// reference VM, returning the coverage trace and the bytes.
-func runOnRef(vm *jvm.VM, rec *coverage.Recorder, c *jimple.Class) (*coverage.Trace, []byte, error) {
-	data, err := lower(c)
 	if err != nil {
 		return nil, nil, err
 	}
+	data, err := f.Bytes()
+	return f, data, err
+}
+
+// runOnRef lowers the class and runs the lowered file (not a re-parse
+// of its bytes) on the instrumented reference VM, returning the trace.
+func runOnRef(vm *jvm.VM, rec *coverage.Recorder, c *jimple.Class) (*coverage.Trace, error) {
+	f, _, err := lower(c)
+	if err != nil {
+		return nil, err
+	}
 	rec.Reset()
-	vm.Run(data)
-	return rec.Trace(), data, nil
+	vm.RunParsed(f)
+	return rec.Trace(), nil
 }

@@ -80,7 +80,7 @@ func Rebuild(cfg Config, draws []DrawRecord, iter int) (*ReplayInfo, error) {
 		return nil, fmt.Errorf("campaign: mutator %d no longer applies at iteration %d — replay config diverges from the campaign", rec.MutatorID, iter)
 	}
 	finishMutant(mutant, iter)
-	data, err := lower(mutant)
+	_, data, err := lower(mutant)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: rebuilt mutant of iteration %d fails to lower: %w", iter, err)
 	}

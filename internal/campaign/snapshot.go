@@ -427,7 +427,7 @@ func (e *engine) rebuildCommitted(snap *Snapshot) (map[int]*rebuiltGen, error) {
 			return nil, fmt.Errorf("campaign: mutator %d no longer applies at iteration %d — snapshot diverges from this build", rec.MutatorID, ge.Iter)
 		}
 		finishMutant(mutant, ge.Iter)
-		data, err := lower(mutant)
+		_, data, err := lower(mutant)
 		if err != nil {
 			return nil, fmt.Errorf("campaign: rebuilt mutant of iteration %d fails to lower: %w", ge.Iter, err)
 		}

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/seedgen"
 )
 
 // digits is the width of n's decimal rendering.
@@ -156,6 +157,116 @@ func TestCrashBetweenJournalAndState(t *testing.T) {
 	}
 }
 
+// adoptLifetime runs a daemon lifetime whose epochs are already done
+// and hands it one submission; the drain adopts it into the corpus.
+func adoptLifetime(t *testing.T, cfg Config, data []byte) *Manager {
+	t.Helper()
+	m := New(cfg)
+	if err := m.Start(); err != nil {
+		t.Fatalf("start: %v", err)
+	}
+	m.queue <- data
+	if err := m.Stop(context.Background()); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	return m
+}
+
+// TestCrashBetweenCorpusWriteAndState kills an intake at its commit
+// window: the submission's corpus file is on disk but state.json still
+// counts the corpus without it. The adoption never committed, so the
+// restart must not load the orphan file; the client resubmits (here a
+// different seed, which takes over the orphan's slot), and the folds
+// and discrepancies equal those of a run that adopted only that seed.
+func TestCrashBetweenCorpusWriteAndState(t *testing.T) {
+	files, err := seedgen.GenerateFiles(seedgen.DefaultOptions(2, 42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lost, resubmitted := files[0], files[1]
+	base := testConfig(t, 1)
+	base.Shards = 1
+	base.Epochs = 1
+	first, _ := runToCompletion(t, base)
+	adoptLifetime(t, base, resubmitted)
+	base.Epochs = 2
+	second, wm := runToCompletion(t, base)
+	want := unionSummaries(t, first.summary(), second.summary())
+
+	cfg := testConfig(t, 1)
+	cfg.Shards = 1
+	cfg.Epochs = 1
+	l1, _ := runToCompletion(t, cfg)
+	statePath := filepath.Join(cfg.DataDir, "state.json")
+	beforeIntake, err := os.ReadFile(statePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := adoptLifetime(t, cfg, lost)
+	orphan := m.corpusPath(0)
+	// Roll state.json back across the adoption: the corpus file stays.
+	if err := os.WriteFile(statePath, beforeIntake, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := os.ReadFile(orphan); err != nil || !bytes.Equal(data, lost) {
+		t.Fatalf("the rolled-back intake left no corpus file (%v)", err)
+	}
+
+	m = adoptLifetime(t, cfg, resubmitted)
+	if n := m.submittedCount(); n != 1 {
+		t.Fatalf("restart + resubmission holds %d submitted seeds, want 1", n)
+	}
+	if data, _ := os.ReadFile(orphan); !bytes.Equal(data, resubmitted) {
+		t.Fatal("the resubmission did not replace the orphan corpus file")
+	}
+	cfg.Epochs = 2
+	l2, m2 := runToCompletion(t, cfg)
+	if got := unionSummaries(t, l1.summary(), l2.summary()); !reflect.DeepEqual(got, want) {
+		t.Fatal("folds after the intake crash diverge from the uninterrupted run")
+	}
+	if got, w := m2.Discrepancies(0), wm.Discrepancies(0); !reflect.DeepEqual(got, w) {
+		t.Fatalf("log after the intake crash (%d entries) differs from the uninterrupted run's (%d)", len(got), len(w))
+	}
+}
+
+// TestCrashBetweenCheckpointWriteAndRename kills a drain while shard
+// 0's checkpoint is a complete temp file not yet renamed into place.
+// The restart must ignore the temp file: shard 0 reruns its epoch from
+// the start, shard 1 restores its checkpoint, and the folds across
+// both lifetimes equal the uninterrupted run's.
+func TestCrashBetweenCheckpointWriteAndRename(t *testing.T) {
+	want, wm := runToCompletion(t, testConfig(t, 1))
+
+	cfg := testConfig(t, 1)
+	m1, l1 := stoppedLifetime(t, cfg, map[[2]int]int{{0, 1}: 5, {1, 0}: 37})
+	path := m1.checkpointPath(0)
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("drained checkpoint: %v", err)
+	}
+	// The temp file as writeJSONAtomic leaves it before its rename.
+	if err := os.WriteFile(path+".tmp2290136857", blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+
+	l2, m2 := runToCompletion(t, cfg)
+	if r := restoredCount(m2); r != 1 {
+		t.Fatalf("restart restored %d checkpoints, want shard 1's only", r)
+	}
+	if _, ok := l2.summary()["shard0/epoch1"]; !ok {
+		t.Fatal("shard 0's interrupted epoch did not fold after the restart")
+	}
+	if got := unionSummaries(t, l1.summary(), l2.summary()); !reflect.DeepEqual(got, want.summary()) {
+		t.Fatal("folds after the checkpoint crash diverge from the uninterrupted run")
+	}
+	if !reflect.DeepEqual(discSet(m2.Discrepancies(0)), discSet(wm.Discrepancies(0))) {
+		t.Fatal("discrepancy set after the checkpoint crash diverges from the uninterrupted run")
+	}
+}
+
 // TestDiscrepancyJournalShort: a state.json committing more entries
 // than the journal holds is refused, not papered over.
 func TestDiscrepancyJournalShort(t *testing.T) {
@@ -214,6 +325,22 @@ func TestDiscrepanciesAPIContiguous(t *testing.T) {
 	cfg.Epochs = 0
 	cfg.Iterations = 30
 	m := New(cfg)
+	// Every fold leaves one wake-up token per poller, so a poller reads
+	// again exactly when the log may have grown, and a fold that lands
+	// while it is reading is not missed.
+	const pollers = 3
+	var wake [pollers]chan struct{}
+	for p := range wake {
+		wake[p] = make(chan struct{}, 1)
+	}
+	m.foldHook = func(string, *campaign.Result) {
+		for _, c := range wake {
+			select {
+			case c <- struct{}{}:
+			default:
+			}
+		}
+	}
 	if err := m.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -254,16 +381,17 @@ func TestDiscrepanciesAPIContiguous(t *testing.T) {
 		return r, nil
 	}
 
-	// Concurrent pollers at staggered offsets while folds land.
+	// Concurrent pollers at staggered offsets, one poll per fold.
 	var wg sync.WaitGroup
-	errs := make(chan error, 4)
+	errs := make(chan error, pollers+1)
 	deadline := time.Now().Add(20 * time.Second)
-	for p := 0; p < 3; p++ {
+	for p := 0; p < pollers; p++ {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
+			timeout := time.After(time.Until(deadline))
 			polls, next := 0, 0
-			for next < 60 && time.Now().Before(deadline) {
+			for {
 				r, err := check(max(0, next-p*3), false)
 				if err != nil {
 					errs <- err
@@ -271,10 +399,15 @@ func TestDiscrepanciesAPIContiguous(t *testing.T) {
 				}
 				next = r.Next
 				polls++
-				time.Sleep(time.Millisecond)
-			}
-			if next < 60 {
-				errs <- fmt.Errorf("poller %d saw only %d discrepancies in %d polls", p, next, polls)
+				if next >= 60 {
+					return
+				}
+				select {
+				case <-wake[p]:
+				case <-timeout:
+					errs <- fmt.Errorf("poller %d saw only %d discrepancies in %d polls", p, next, polls)
+					return
+				}
 			}
 		}(p)
 	}
