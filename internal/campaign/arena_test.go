@@ -5,6 +5,12 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"repro/internal/coverage"
+	"repro/internal/jimple"
+	"repro/internal/jvm"
+	"repro/internal/mutation"
+	"repro/internal/seedgen"
 )
 
 // TestCampaignAllocsFlatAcrossWorkers pins the perf fix this PR ships:
@@ -104,5 +110,82 @@ func TestBatchBufferOwnership(t *testing.T) {
 		if !reflect.DeepEqual(summarize(again), want) {
 			t.Errorf("workers=%d: rerun after scribbling diverges — a returned buffer aliased engine- or seed-owned memory", w)
 		}
+	}
+}
+
+// TestLoweredFileOwnership is the recycling safety net for the lowering
+// context: nothing a run leaves behind may alias the lowered file that
+// the next Lower overwrites. Mutant A is lowered and run on a VM with a
+// decode cache and a verify memo attached; then class B is lowered
+// through the same context (overwriting A's pool, members and attribute
+// tables) and run. Rerunning A's bytes on the same warm VM and on a
+// fresh VM must reproduce A's first outcome and trace exactly — a cache
+// entry, memo entry or Outcome that pointed into A's file would now see
+// B's contents.
+func TestLoweredFileOwnership(t *testing.T) {
+	var classes []*jimple.Class
+	muts := mutation.Registry()
+	for i, s := range seedgen.Generate(seedgen.DefaultOptions(20, 5)) {
+		for k := 0; k < len(muts); k += 7 {
+			mutant := s.Clone()
+			if muts[(i+k)%len(muts)].Apply(mutant, DeriveRNG(int64(k), i)) {
+				finishMutant(mutant, i*1000+k)
+				classes = append(classes, mutant)
+			}
+		}
+	}
+
+	newVM := func() (*jvm.VM, *coverage.Recorder) {
+		vm := jvm.New(jvm.HotSpot9())
+		rec := coverage.NewRecorder(jvm.ProbeRegistry())
+		vm.SetRecorder(rec)
+		return vm, rec
+	}
+	warm, rec := newVM()
+	warm.SetDecodeCache(jvm.NewDecodeCache())
+	warm.SetVerifyMemo(jvm.NewVerifyMemo())
+	lctx := jimple.NewLowerCtx()
+
+	checked := 0
+	for i := 0; i+1 < len(classes); i++ {
+		a, b := classes[i], classes[i+1]
+		fa, err := lctx.Lower(a)
+		if err != nil {
+			continue
+		}
+		dataA, err := fa.Bytes()
+		if err != nil {
+			continue
+		}
+		rec.Reset()
+		outA := warm.RunParsed(fa)
+		trA := rec.Trace()
+
+		if fb, err := lctx.Lower(b); err == nil {
+			if fb != fa {
+				t.Fatal("the context returned a new file; this test no longer overwrites A's storage")
+			}
+			if _, err := fb.Bytes(); err == nil {
+				rec.Reset()
+				warm.RunParsed(fb)
+			}
+		}
+
+		rec.Reset()
+		outWarm := warm.Run(dataA)
+		trWarm := rec.Trace()
+		fresh, frec := newVM()
+		outFresh := fresh.Run(dataA)
+		trFresh := frec.Trace()
+		if !reflect.DeepEqual(outA, outWarm) || !reflect.DeepEqual(outA, outFresh) {
+			t.Fatalf("%s: first run %v, warm rerun %v, fresh rerun %v", a.Name, outA, outWarm, outFresh)
+		}
+		if !trA.EqualSets(trWarm) || !trA.EqualSets(trFresh) {
+			t.Fatalf("%s: first-run trace %v, warm rerun %v, fresh rerun %v", a.Name, trA.Stats(), trWarm.Stats(), trFresh.Stats())
+		}
+		checked++
+	}
+	if checked < len(classes)/2 {
+		t.Fatalf("only %d of %d mutants checked", checked, len(classes))
 	}
 }

@@ -284,11 +284,13 @@ func referenceClassfuzz(t *testing.T, cfg Config) []string {
 		pool = append(pool, poolEntry{class: s, iter: -1})
 	}
 	for _, s := range cfg.Source.Corpus() {
-		tr, err := runOnRef(vm, rec, s)
+		_, data, err := lower(s)
 		if err != nil {
 			continue
 		}
-		if suite.Unique(tr) {
+		rec.Reset()
+		vm.Run(data)
+		if tr := rec.Trace(); suite.Unique(tr) {
 			suite.Add(tr)
 		}
 	}

@@ -225,17 +225,11 @@ func (e *engine) initSeedState() {
 		return
 	}
 	e.mergedCov = coverage.NewTrace()
-	vm := jvm.New(cfg.RefSpec)
-	rec := coverage.NewRecorder(jvm.ProbeRegistry())
-	vm.SetRecorder(rec)
 	// Seed runs warm the verify memo before any worker starts: seed
 	// methods survive into most of the lineage unmutated.
-	vm.SetVerifyMemo(e.vmemo)
-	if e.timing {
-		vm.SetTelemetry(e.cfg.Telemetry)
-	}
+	ws := e.newWorkerScratch()
 	for _, s := range e.seeds {
-		tr, err := runOnRef(vm, rec, s)
+		tr, err := ws.runOnRef(s)
 		if err != nil {
 			continue // unlowerable seed: skip its trace
 		}
@@ -299,19 +293,7 @@ func (e *engine) run() (*Result, error) {
 			// stateless across runs; the lowering context and mutation
 			// RNG are reset per task. One set serves the worker's whole
 			// stream of tasks without sharing anything with its peers.
-			ws := &workerScratch{
-				vm:   jvm.New(cfg.RefSpec),
-				rec:  coverage.NewRecorder(jvm.ProbeRegistry()),
-				lctx: jimple.NewLowerCtx(),
-			}
-			ws.vm.SetRecorder(ws.rec)
-			ws.vm.SetVerifyMemo(e.vmemo)
-			if e.timing {
-				// Per-phase reference-VM histograms
-				// (jvm.<spec>.phase.*_ns) land in the shared registry
-				// next to the stage spans; observe-only like the rest.
-				ws.vm.SetTelemetry(e.cfg.Telemetry)
-			}
+			ws := e.newWorkerScratch()
 			for t := range tasks {
 				e.process(t, ws)
 				close(t.done)
@@ -428,14 +410,36 @@ func (e *engine) redraw(rec DrawRecord, t *task) {
 }
 
 // workerScratch is one worker's long-lived arenas: the instrumented
-// reference VM and its recorder, the reusable lowering context, and
-// the per-task mutation RNG (reseeded, never reallocated). All of it
-// is confined to the owning worker goroutine.
+// reference VM and its recorder, the reusable lowering context (which
+// owns the lowered file), the per-task mutation RNG (reseeded, never
+// reallocated) and the seed runs' serialisation buffer. All of it is
+// confined to the owning goroutine: a worker, or the coordinator while
+// it runs the seeds.
 type workerScratch struct {
 	vm   *jvm.VM
 	rec  *coverage.Recorder
 	rng  *rand.Rand
 	lctx *jimple.LowerCtx
+	buf  []byte
+}
+
+// newWorkerScratch builds one worker's arenas around a reference VM
+// wired to the campaign's recorder, verify memo and telemetry.
+func (e *engine) newWorkerScratch() *workerScratch {
+	ws := &workerScratch{
+		vm:   jvm.New(e.cfg.RefSpec),
+		rec:  coverage.NewRecorder(jvm.ProbeRegistry()),
+		lctx: jimple.NewLowerCtx(),
+	}
+	ws.vm.SetRecorder(ws.rec)
+	ws.vm.SetVerifyMemo(e.vmemo)
+	if e.timing {
+		// Per-phase reference-VM histograms (jvm.<spec>.phase.*_ns)
+		// land in the shared registry next to the stage spans;
+		// observe-only like the rest.
+		ws.vm.SetTelemetry(e.cfg.Telemetry)
+	}
+	return ws
 }
 
 // mutateRNG returns iteration iter's mutation stream on the worker's
@@ -464,10 +468,12 @@ func (e *engine) process(t *task, ws *workerScratch) {
 	finishMutant(mutant, t.iter)
 	t.mutant = mutant
 
-	// Lower through the worker's reused context and serialise into the
+	// Lower into the worker's recycled file and serialise into the
 	// task's recycled buffer (bytes identical to a fresh lower() — only
-	// where the scratch lives differs). The writer decides Generated and
+	// where the storage lives differs). The writer decides Generated and
 	// interns attribute names into f.Pool before the VM runs f itself.
+	// f is dead once this returns (the next Lower overwrites it); only
+	// data, which the task owns, and the fresh trace outlive it.
 	f, err := ws.lctx.Lower(mutant)
 	if err != nil {
 		spMutate.End()
@@ -652,7 +658,8 @@ func finishMutant(c *jimple.Class, iter int) {
 	}
 }
 
-// lower compiles a class to a classfile and its serialised bytes.
+// lower compiles a class to a classfile and its serialised bytes,
+// both fresh and owned by the caller.
 func lower(c *jimple.Class) (*classfile.File, []byte, error) {
 	f, err := jimple.Lower(c)
 	if err != nil {
@@ -662,14 +669,19 @@ func lower(c *jimple.Class) (*classfile.File, []byte, error) {
 	return f, data, err
 }
 
-// runOnRef lowers the class and runs the lowered file (not a re-parse
-// of its bytes) on the instrumented reference VM, returning the trace.
-func runOnRef(vm *jvm.VM, rec *coverage.Recorder, c *jimple.Class) (*coverage.Trace, error) {
-	f, _, err := lower(c)
+// runOnRef lowers the class into the scratch's recycled file,
+// serialises it into the scratch's buffer (the lowered check; the
+// bytes are dropped), and runs the lowered file on the instrumented
+// reference VM, returning the trace.
+func (ws *workerScratch) runOnRef(c *jimple.Class) (*coverage.Trace, error) {
+	f, err := ws.lctx.Lower(c)
 	if err != nil {
 		return nil, err
 	}
-	rec.Reset()
-	vm.RunParsed(f)
-	return rec.Trace(), nil
+	if ws.buf, err = f.AppendBytes(ws.buf[:0]); err != nil {
+		return nil, err
+	}
+	ws.rec.Reset()
+	ws.vm.RunParsed(f)
+	return ws.rec.Trace(), nil
 }

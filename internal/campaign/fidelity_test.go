@@ -31,13 +31,18 @@ func newRefRunners(specs []jvm.Spec) []refRunner {
 }
 
 // checkLoweredFidelity lowers and serialises c the way the engine's
-// process does, then asserts that the bytes parse, re-serialise
-// byte-identically, and that every runner reports the same outcome and
-// coverage sets for RunParsed on the lowered file as for Run on its
-// bytes. It reports whether c lowered at all.
-func checkLoweredFidelity(t *testing.T, runners []refRunner, c *jimple.Class, what string) bool {
+// process does — into the recycled file of a reused context — then
+// asserts that the bytes parse, re-serialise byte-identically, and that
+// every runner reports the same outcome and coverage sets for RunParsed
+// on the lowered file as for Run on its bytes. It reports whether c
+// lowered at all.
+func checkLoweredFidelity(t *testing.T, lctx *jimple.LowerCtx, runners []refRunner, c *jimple.Class, what string) bool {
 	t.Helper()
-	f, data, err := lower(c)
+	f, err := lctx.Lower(c)
+	if err != nil {
+		return false
+	}
+	data, err := f.Bytes()
 	if err != nil {
 		return false
 	}
@@ -101,6 +106,7 @@ func fidelitySeeds() []*jimple.Class {
 // five presets — same outcome, same statement and branch sets.
 func TestLoweredRunFidelity(t *testing.T) {
 	runners := newRefRunners(jvm.StandardFive())
+	lctx := jimple.NewLowerCtx()
 	seeds := fidelitySeeds()
 	streams := []int64{1, 7, 123}
 	if testing.Short() {
@@ -108,7 +114,7 @@ func TestLoweredRunFidelity(t *testing.T) {
 	}
 	lowered := 0
 	for si, s := range seeds {
-		if checkLoweredFidelity(t, runners, s, "seed") {
+		if checkLoweredFidelity(t, lctx, runners, s, "seed") {
 			lowered++
 		}
 		for _, m := range mutation.Registry() {
@@ -118,7 +124,7 @@ func TestLoweredRunFidelity(t *testing.T) {
 					continue
 				}
 				finishMutant(mutant, si)
-				if checkLoweredFidelity(t, runners, mutant, m.Name) {
+				if checkLoweredFidelity(t, lctx, runners, mutant, m.Name) {
 					lowered++
 				}
 			}
@@ -143,6 +149,7 @@ func FuzzLoweredRunFidelity(f *testing.F) {
 	}
 	f.Add(byte(0), []byte{0xca, 0xfe, 0xba, 0xbe, 0, 0, 0, 51})
 	runners := newRefRunners([]jvm.Spec{jvm.HotSpot9()})
+	lctx := jimple.NewLowerCtx()
 	muts := mutation.Registry()
 	f.Fuzz(func(t *testing.T, pick byte, data []byte) {
 		cf, err := classfile.Parse(data)
@@ -157,7 +164,7 @@ func FuzzLoweredRunFidelity(f *testing.F) {
 		if !m.Apply(c, DeriveRNG(int64(pick), int(pick))) {
 			return
 		}
-		checkLoweredFidelity(t, runners, c, m.Name)
+		checkLoweredFidelity(t, lctx, runners, c, m.Name)
 	})
 }
 

@@ -55,6 +55,39 @@ func (f *File) allocMember(m Member) *Member {
 	return &f.memberArena[len(f.memberArena)-1]
 }
 
+// Reset empties the file for refilling in place: header fields zeroed,
+// the pool reset (see ConstPool.Reset), and the interface, member and
+// attribute tables truncated to keep their capacity. The member arena
+// keeps one chunk large enough for every member the file held. Every
+// *Member and *Constant taken from the file before Reset is invalid
+// afterwards; attribute values are dropped, not recycled. Parse never
+// resets; this is the recycling path of long-lived builders.
+func (f *File) Reset() {
+	used := len(f.Fields) + len(f.Methods)
+	f.Pool.Reset()
+	clear(f.Fields)
+	clear(f.Methods)
+	clear(f.Attributes)
+	*f = File{
+		Pool:        f.Pool,
+		Interfaces:  f.Interfaces[:0],
+		Fields:      f.Fields[:0],
+		Methods:     f.Methods[:0],
+		Attributes:  f.Attributes[:0],
+		memberArena: recycleArena(f.memberArena, used),
+	}
+}
+
+// recycleArena empties an arena's current chunk for reuse, or replaces
+// it with one chunk of capacity used when it cannot hold that many.
+func recycleArena[T any](arena []T, used int) []T {
+	if cap(arena) < used {
+		return make([]T, 0, used)
+	}
+	clear(arena)
+	return arena[:0]
+}
+
 // Member is a field_info or method_info structure.
 type Member struct {
 	AccessFlags Flags

@@ -129,6 +129,19 @@ func NewConstPool() *ConstPool {
 	return &ConstPool{Entries: []*Constant{nil}}
 }
 
+// Reset empties the pool back to the reserved slot 0 for refilling in
+// place. The entry table keeps its capacity, and the arena keeps one
+// chunk large enough for every entry the pool held, so refilling it to
+// a similar size allocates nothing. Every *Constant taken from the pool
+// before Reset is invalid afterwards. Parse never resets; this is the
+// recycling path of long-lived builders (the Jimple lowering context).
+func (cp *ConstPool) Reset() {
+	used := len(cp.Entries) - 1 // bounds the arena entries handed out
+	clear(cp.Entries)
+	cp.Entries = append(cp.Entries[:0], nil)
+	cp.arena = recycleArena(cp.arena, used)
+}
+
 // Count returns the constant_pool_count value (len of entries).
 func (cp *ConstPool) Count() int { return len(cp.Entries) }
 

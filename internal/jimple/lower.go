@@ -8,17 +8,79 @@ import (
 	"repro/internal/descriptor"
 )
 
-// LowerCtx is a reusable lowering context. The per-method compiler
-// scratch (slot map, instruction and relocation buffers, instruction
-// arena, max-stack worklist) lives here and is recycled across methods
-// and across Lower calls, so a long-lived caller — one campaign worker,
-// say — pays for the buffers once instead of per class. A zero LowerCtx
-// is ready to use; contexts are not safe for concurrent use. Lowering
-// through a reused context produces bytes identical to a fresh one:
-// reuse changes where scratch lives, never what is emitted.
+// LowerCtx is a reusable lowering context. It owns the classfile it
+// lowers into — the File, its constant pool and pool arena, its member
+// arena and its interface, member and attribute tables — and the
+// per-method compiler scratch (slot map, instruction and relocation
+// buffers, instruction arena, max-stack worklist). All of it is reset
+// and refilled in place by each Lower call, so a long-lived caller —
+// one campaign worker, say — pays for the storage once instead of per
+// class. A zero LowerCtx is ready to use; contexts are not safe for
+// concurrent use. Lowering through a reused context produces bytes
+// identical to a fresh one: reuse changes where storage lives, never
+// what is emitted.
 type LowerCtx struct {
 	lw lowerer
 	ms maxStackScratch
+
+	// f is the recycled output file (nil until the first Lower). The
+	// attribute values below are recycled with it, and every attribute
+	// table of the file (member attributes, line-number entries, thrown
+	// classes, handlers) is a capacity-capped window of one of the flat
+	// buffers, so no two tables overlap.
+	f        *classfile.File
+	codes    slab[classfile.CodeAttr]
+	lnts     slab[classfile.LineNumberTableAttr]
+	excs     slab[classfile.ExceptionsAttr]
+	srcs     slab[classfile.SourceFileAttr]
+	attrs    []classfile.Attribute
+	lines    []classfile.LineNumberEntry
+	classes  []uint16
+	handlers []classfile.ExceptionHandler
+}
+
+// slab hands out zeroed T values from storage that reset recycles.
+// A value handed out before the slab grew keeps the old backing array;
+// it stays valid but is not recycled, so a slab settles at the largest
+// class lowered.
+type slab[T any] struct{ s []T }
+
+func (sl *slab[T]) reset() {
+	clear(sl.s)
+	sl.s = sl.s[:0]
+}
+
+func (sl *slab[T]) take() *T {
+	var zero T
+	sl.s = append(sl.s, zero)
+	return &sl.s[len(sl.s)-1]
+}
+
+// window returns buf[start:] capped at its length, or nil when empty.
+func window[T any](buf []T, start int) []T {
+	if len(buf) == start {
+		return nil
+	}
+	return buf[start:len(buf):len(buf)]
+}
+
+// reset empties the recycled output for the next Lower.
+func (ctx *LowerCtx) reset() *classfile.File {
+	if ctx.f == nil {
+		ctx.f = &classfile.File{Pool: classfile.NewConstPool()}
+	} else {
+		ctx.f.Reset()
+	}
+	ctx.codes.reset()
+	ctx.lnts.reset()
+	ctx.excs.reset()
+	ctx.srcs.reset()
+	clear(ctx.attrs)
+	ctx.attrs = ctx.attrs[:0]
+	ctx.lines = ctx.lines[:0]
+	ctx.classes = ctx.classes[:0]
+	ctx.handlers = ctx.handlers[:0]
+	return ctx.f
 }
 
 // NewLowerCtx returns an empty reusable lowering context.
@@ -29,20 +91,26 @@ func NewLowerCtx() *LowerCtx { return &LowerCtx{} }
 // (bad flags, type mismatches, dangling references) lowers into exactly
 // the illegal classfile the fuzzer wants to feed the VMs. Errors are
 // returned only when the container format cannot represent the class
-// at all.
+// at all. The file is the caller's to keep: Lower goes through a fresh
+// context.
 func Lower(c *Class) (*classfile.File, error) {
 	var ctx LowerCtx
 	return ctx.Lower(c)
 }
 
-// Lower compiles the Jimple class into a classfile, reusing the
-// context's scratch buffers. See the package-level Lower for semantics.
+// Lower compiles the Jimple class into the context's recycled
+// classfile. See the package-level Lower for semantics.
+//
+// The returned *File is valid only until the next Lower on the same
+// context, which overwrites its pool, members and tables in place.
+// Anything that must outlive that call must not point into the file:
+// serialise it (AppendBytes copies everything into the caller's
+// buffer), or copy what it needs. Code byte arrays are the exception —
+// each Lower assembles them fresh — but the Constant, Member,
+// attribute and table storage is reused.
 func (ctx *LowerCtx) Lower(c *Class) (*classfile.File, error) {
-	f := &classfile.File{
-		Minor: c.Minor,
-		Major: c.Major,
-		Pool:  classfile.NewConstPool(),
-	}
+	f := ctx.reset()
+	f.Minor, f.Major = c.Minor, c.Major
 	f.AccessFlags = c.Modifiers
 	f.ThisClass = f.Pool.AddClass(c.Name)
 	if c.Super != "" {
@@ -56,24 +124,34 @@ func (ctx *LowerCtx) Lower(c *Class) (*classfile.File, error) {
 	}
 	for _, m := range c.Methods {
 		mem := f.AddMethod(m.Modifiers, m.Name, m.Descriptor())
+		var own [2]classfile.Attribute
+		n := 0
 		if len(m.Throws) > 0 {
-			ex := &classfile.ExceptionsAttr{}
+			ex := ctx.excs.take()
+			start := len(ctx.classes)
 			for _, t := range m.Throws {
-				ex.Classes = append(ex.Classes, f.Pool.AddClass(t))
+				ctx.classes = append(ctx.classes, f.Pool.AddClass(t))
 			}
-			mem.Attributes = append(mem.Attributes, ex)
+			ex.Classes = window(ctx.classes, start)
+			own[n] = ex
+			n++
 		}
-		if m.Body == nil {
-			continue
+		if m.Body != nil {
+			code, err := ctx.lowerBody(f, c, m)
+			if err != nil {
+				return nil, fmt.Errorf("jimple: lowering %s.%s: %w", c.Name, m.Name, err)
+			}
+			own[n] = code
+			n++
 		}
-		code, err := ctx.lowerBody(f, c, m)
-		if err != nil {
-			return nil, fmt.Errorf("jimple: lowering %s.%s: %w", c.Name, m.Name, err)
-		}
-		mem.Attributes = append(mem.Attributes, code)
+		start := len(ctx.attrs)
+		ctx.attrs = append(ctx.attrs, own[:n]...)
+		mem.Attributes = window(ctx.attrs, start)
 	}
 	if c.SourceFile != "" {
-		f.Attributes = append(f.Attributes, &classfile.SourceFileAttr{NameIndex: f.Pool.AddUtf8(c.SourceFile)})
+		src := ctx.srcs.take()
+		src.NameIndex = f.Pool.AddUtf8(c.SourceFile)
+		f.Attributes = append(f.Attributes, src)
 	}
 	return f, nil
 }
@@ -97,6 +175,8 @@ type lowerer struct {
 	// per 64 instead of per instruction). Chunks are replaced, never
 	// regrown, so pointers handed out stay valid.
 	arena []bytecode.Instruction
+	// paramSlot[i] is parameter i's first local slot.
+	paramSlot []int
 }
 
 func (ctx *LowerCtx) lowerBody(f *classfile.File, c *Class, m *Method) (*classfile.CodeAttr, error) {
@@ -114,6 +194,7 @@ func (ctx *LowerCtx) lowerBody(f *classfile.File, c *Class, m *Method) (*classfi
 	lw.ins = lw.ins[:0]
 	lw.reloc = lw.reloc[:0]
 	lw.arena = lw.arena[:0]
+	lw.paramSlot = lw.paramSlot[:0]
 
 	// Slot layout: receiver, parameters (by descriptor), then the
 	// remaining declared locals. Identity statements bind locals to the
@@ -121,9 +202,8 @@ func (ctx *LowerCtx) lowerBody(f *classfile.File, c *Class, m *Method) (*classfi
 	if !m.IsStatic() {
 		lw.next = 1 // slot 0 = this
 	}
-	paramSlot := make([]int, len(m.Params))
-	for i, p := range m.Params {
-		paramSlot[i] = lw.next
+	for _, p := range m.Params {
+		lw.paramSlot = append(lw.paramSlot, lw.next)
 		lw.next += p.Slots()
 	}
 	for _, s := range m.Body {
@@ -133,8 +213,8 @@ func (ctx *LowerCtx) lowerBody(f *classfile.File, c *Class, m *Method) (*classfi
 		}
 		if id.Param < 0 {
 			lw.slots[id.Target] = 0
-		} else if id.Param < len(paramSlot) {
-			lw.slots[id.Target] = paramSlot[id.Param]
+		} else if id.Param < len(lw.paramSlot) {
+			lw.slots[id.Target] = lw.paramSlot[id.Param]
 		}
 		// An identity for a parameter beyond the list gets a fresh slot
 		// lazily (reading it is a verification error — intended).
@@ -183,7 +263,9 @@ func (ctx *LowerCtx) lowerBody(f *classfile.File, c *Class, m *Method) (*classfi
 
 	if len(lw.ins) == 0 {
 		// An empty body lowers to an empty (illegal) code array.
-		return &classfile.CodeAttr{MaxStack: 0, MaxLocals: uint16(lw.next), Code: nil}, nil
+		attr := ctx.codes.take()
+		attr.MaxLocals = uint16(lw.next)
+		return attr, nil
 	}
 
 	code, err := bytecode.Assemble(lw.ins, true)
@@ -201,15 +283,14 @@ func (ctx *LowerCtx) lowerBody(f *classfile.File, c *Class, m *Method) (*classfi
 	if int(m.RawMaxLocals) > maxLocals {
 		maxLocals = int(m.RawMaxLocals)
 	}
-	attr := &classfile.CodeAttr{
-		MaxStack:  uint16(maxStack),
-		MaxLocals: uint16(maxLocals),
-		Code:      code,
-	}
+	attr := ctx.codes.take()
+	attr.MaxStack = uint16(maxStack)
+	attr.MaxLocals = uint16(maxLocals)
+	attr.Code = code
 	// Debug info: map each statement's first instruction to a pseudo
 	// source line (its 1-based statement index), like Soot's Jimple line
 	// tags. Tools and stack traces downstream get meaningful positions.
-	var lnt classfile.LineNumberTableAttr
+	start := len(ctx.lines)
 	lastPC := -1
 	for si := 0; si < len(m.Body); si++ {
 		ii := lw.stmtFirst[si]
@@ -221,23 +302,29 @@ func (ctx *LowerCtx) lowerBody(f *classfile.File, c *Class, m *Method) (*classfi
 			continue // statement emitted no code (identity)
 		}
 		lastPC = pc
-		lnt.Entries = append(lnt.Entries, classfile.LineNumberEntry{
+		ctx.lines = append(ctx.lines, classfile.LineNumberEntry{
 			StartPC: uint16(pc),
 			Line:    uint16(si + 1),
 		})
 	}
-	if len(lnt.Entries) > 0 {
-		attr.Attributes = append(attr.Attributes, &lnt)
+	if entries := window(ctx.lines, start); entries != nil {
+		lnt := ctx.lnts.take()
+		lnt.Entries = entries
+		start := len(ctx.attrs)
+		ctx.attrs = append(ctx.attrs, lnt)
+		attr.Attributes = window(ctx.attrs, start)
 	}
 	// Exception handlers of a raw-lifted body carry over; their catch
 	// types are re-interned into the fresh pool.
+	start = len(ctx.handlers)
 	for _, h := range m.RawHandlers {
 		nh := h
 		if h.CatchType != 0 && c.OrigPool != nil {
 			nh.CatchType = internConst(f.Pool, c.OrigPool, h.CatchType)
 		}
-		attr.Handlers = append(attr.Handlers, nh)
+		ctx.handlers = append(ctx.handlers, nh)
 	}
+	attr.Handlers = window(ctx.handlers, start)
 	return attr, nil
 }
 

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"repro/internal/telemetry"
 )
@@ -148,19 +147,32 @@ func (s *Sampler) Rank(id int) int { return s.rank[id] }
 func (s *Sampler) Order() []int { return append([]int(nil), s.order...) }
 
 // resort re-sorts mutators by descending success rate; ties keep id
-// order so the sort is deterministic.
+// order so the sort is deterministic. The key (rate desc, id asc) is a
+// strict total order, so any correct sort yields the same order; an
+// in-place insertion pass is the cheap one here, because between two
+// calls only the few mutators drawn or recorded since have moved.
 func (s *Sampler) resort() {
-	sort.SliceStable(s.order, func(a, b int) bool {
-		ra := s.SuccessRate(s.order[a])
-		rb := s.SuccessRate(s.order[b])
-		if ra != rb {
-			return ra > rb
+	for i := 1; i < len(s.order); i++ {
+		id := s.order[i]
+		j := i
+		for ; j > 0 && s.ranksBefore(id, s.order[j-1]); j-- {
+			s.order[j] = s.order[j-1]
 		}
-		return s.order[a] < s.order[b]
-	})
+		s.order[j] = id
+	}
 	for r, id := range s.order {
 		s.rank[id] = r
 	}
+}
+
+// ranksBefore reports whether mutator a sorts ahead of mutator b:
+// higher success rate first, lower id on ties.
+func (s *Sampler) ranksBefore(a, b int) bool {
+	ra, rb := s.SuccessRate(a), s.SuccessRate(b)
+	if ra != rb {
+		return ra > rb
+	}
+	return a < b
 }
 
 // UniformSampler is the ablation baseline used by uniquefuzz: mutators

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/telemetry"
@@ -187,6 +189,46 @@ func TestResortStableAndComplete(t *testing.T) {
 	for r, id := range order {
 		if s.Rank(id) != r {
 			t.Errorf("rank(%d) = %d, want %d", id, s.Rank(id), r)
+		}
+	}
+}
+
+// TestResortMatchesStableSort checks the in-place insertion pass
+// against the sort.SliceStable reference it replaced, over random
+// Next/Record streams. Several Next calls run between Records (as the
+// engine's lookahead window does), so more than one rate moves between
+// sorts, and Record ids need not be the last draw.
+func TestResortMatchesStableSort(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(140)
+		s := NewSampler(n, DefaultP(n), rng)
+		for step := 0; step < 400; step++ {
+			for k := rng.Intn(4); k > 0; k-- {
+				s.Next(rng)
+			}
+			s.Record(rng.Intn(n), rng.Intn(3) == 0)
+
+			want := make([]int, n)
+			for i := range want {
+				want[i] = i
+			}
+			sort.SliceStable(want, func(a, b int) bool {
+				ra, rb := s.SuccessRate(want[a]), s.SuccessRate(want[b])
+				if ra != rb {
+					return ra > rb
+				}
+				return want[a] < want[b]
+			})
+			got := s.Order()
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d step %d: order %v, stable-sort reference %v", seed, step, got, want)
+			}
+			for r, id := range got {
+				if s.Rank(id) != r {
+					t.Fatalf("seed %d step %d: rank(%d) = %d, want %d", seed, step, id, s.Rank(id), r)
+				}
+			}
 		}
 	}
 }
