@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint bench bench-difftest bench-tables race experiments catalog report clean
+.PHONY: all build vet lint test test-short race bench-tables experiments experiments-paper catalog report clean
 
 all: build vet test
 
@@ -29,16 +29,6 @@ test-short:
 
 race:
 	$(GO) test -race ./...
-
-# Campaign-engine throughput sweep (workers 1/4/8) -> BENCH_campaign.json
-# with iters/sec and time-per-test per worker count.
-bench:
-	$(GO) run ./cmd/campaignbench -out BENCH_campaign.json
-
-# Differential-engine sweep (sequential-reparse baseline vs parse-once
-# vs parallel vs warm-memo) -> BENCH_difftest.json.
-bench-difftest:
-	$(GO) run ./cmd/difftestbench -out BENCH_difftest.json
 
 # The original micro/meso benchmark tables over the whole pipeline.
 bench-tables:

@@ -331,10 +331,6 @@ func main() {
 	fmt.Printf("\nDifftest outcome memo: %d hits / %d misses.\n",
 		final.Counter(difftest.MetricMemoLookupHits),
 		final.Counter(difftest.MetricMemoLookupMisses))
-	fmt.Printf("Method verify memo: %d hits / %d misses (%d unsafe fallbacks).\n",
-		final.Counter(jvm.MetricVerifyMemoHits),
-		final.Counter(jvm.MetricVerifyMemoMisses),
-		final.Counter(jvm.MetricVerifyMemoUnsafe))
 
 	if *serviceMetrics != "" {
 		if err := reportService(treg, *serviceMetrics); err != nil {

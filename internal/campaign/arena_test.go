@@ -116,12 +116,11 @@ func TestBatchBufferOwnership(t *testing.T) {
 // TestLoweredFileOwnership is the recycling safety net for the lowering
 // context: nothing a run leaves behind may alias the lowered file that
 // the next Lower overwrites. Mutant A is lowered and run on a VM with a
-// decode cache and a verify memo attached; then class B is lowered
-// through the same context (overwriting A's pool, members and attribute
-// tables) and run. Rerunning A's bytes on the same warm VM and on a
-// fresh VM must reproduce A's first outcome and trace exactly — a cache
-// entry, memo entry or Outcome that pointed into A's file would now see
-// B's contents.
+// decode cache attached; then class B is lowered through the same
+// context (overwriting A's pool, members and attribute tables) and run.
+// Rerunning A's bytes on the same warm VM and on a fresh VM must
+// reproduce A's first outcome and trace exactly — a cache entry or
+// Outcome that pointed into A's file would now see B's contents.
 func TestLoweredFileOwnership(t *testing.T) {
 	var classes []*jimple.Class
 	muts := mutation.Registry()
@@ -143,7 +142,6 @@ func TestLoweredFileOwnership(t *testing.T) {
 	}
 	warm, rec := newVM()
 	warm.SetDecodeCache(jvm.NewDecodeCache())
-	warm.SetVerifyMemo(jvm.NewVerifyMemo())
 	lctx := jimple.NewLowerCtx()
 
 	checked := 0

@@ -53,23 +53,6 @@ func BenchmarkCampaign1Worker(b *testing.B)  { benchCampaign(b, 1) }
 func BenchmarkCampaign4Workers(b *testing.B) { benchCampaign(b, 4) }
 func BenchmarkCampaign8Workers(b *testing.B) { benchCampaign(b, 8) }
 
-// BenchmarkCampaignWarmLineage measures the steady state the verify
-// memo targets: the same campaign re-run with a memo carried across
-// runs (a daemon shard re-fuzzing a lineage epoch after epoch), so
-// every untouched method of every mutant generation hits the memo.
-// Results stay bit-identical to the cold run — the memo is
-// observe-equivalent — only the wall clock moves. The bench-compare CI
-// gate watches this next to the cold benchmarks.
-func BenchmarkCampaignWarmLineage(b *testing.B) {
-	cfg := benchConfig(1)
-	cfg.VerifyMemo = jvm.NewVerifyMemo()
-	// Warm the memo with one full campaign before timing.
-	if _, err := Run(cfg); err != nil {
-		b.Fatal(err)
-	}
-	benchCampaignCfg(b, cfg)
-}
-
 // BenchmarkCampaignYieldSched is the scheduler hot path: the same
 // campaign drawn through a yield-weighted seedsel scheduler instead of
 // the flat adapter, so every draw walks the cluster weights and every

@@ -89,16 +89,6 @@ type Config struct {
 	// only accepted mutants keep their bytes, which is what bounds
 	// campaign RSS at paper scale.
 	KeepGenBytes bool
-	// VerifyMemo optionally injects a shared method-verification memo
-	// (warm lineages across campaigns: a daemon shard or benchmark may
-	// carry one memo through many epochs). Nil means the engine creates
-	// a private memo per campaign. The memo is observe-equivalent:
-	// verdicts are content-addressed and pure, so results are
-	// bit-identical with a cold, warm or absent memo.
-	VerifyMemo *jvm.VerifyMemo
-	// DisableVerifyMemo runs verification unmemoised (the equivalence
-	// tests' cold baseline).
-	DisableVerifyMemo bool
 	// Workers sizes the pool running the mutate/execute stages;
 	// 0 or 1 means single-threaded. Results are identical at any value.
 	Workers int

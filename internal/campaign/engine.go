@@ -107,9 +107,6 @@ type engine struct {
 	greedyUnion      *coverage.Trace
 	genStats         *coverage.Suite
 	pool             []poolEntry
-	// vmemo is the campaign's method-verification memo, shared by every
-	// worker VM. Nil when Config.DisableVerifyMemo is set.
-	vmemo *jvm.VerifyMemo
 
 	tel    engineTel
 	timing bool // external registry attached: stage + VM timing on
@@ -193,21 +190,6 @@ func newEngine(cfg Config) *engine {
 	}
 	e.greedyUnion = coverage.NewTrace()
 	e.genStats = coverage.NewSuite(coverage.STBR) // counts unique stats over Gen
-
-	// The verify memo carries per-method verdicts across the mutant
-	// stream: a mutant's untouched methods (the generated main, <init>,
-	// unmutated seed methods) reuse lineage verdicts instead of
-	// re-running the dataflow fixpoint on every generation. Injected
-	// memos (Config.VerifyMemo) stay warm across campaigns.
-	if !cfg.DisableVerifyMemo {
-		e.vmemo = cfg.VerifyMemo
-		if e.vmemo == nil {
-			e.vmemo = jvm.NewVerifyMemo()
-		}
-		if cfg.Telemetry != nil {
-			e.vmemo.UseTelemetry(cfg.Telemetry)
-		}
-	}
 	return e
 }
 
@@ -225,8 +207,7 @@ func (e *engine) initSeedState() {
 		return
 	}
 	e.mergedCov = coverage.NewTrace()
-	// Seed runs warm the verify memo before any worker starts: seed
-	// methods survive into most of the lineage unmutated.
+	// One scratch (VM, recorder, lowering context) serves every seed run.
 	ws := e.newWorkerScratch()
 	for _, s := range e.seeds {
 		tr, err := ws.runOnRef(s)
@@ -424,7 +405,7 @@ type workerScratch struct {
 }
 
 // newWorkerScratch builds one worker's arenas around a reference VM
-// wired to the campaign's recorder, verify memo and telemetry.
+// wired to the campaign's recorder and telemetry.
 func (e *engine) newWorkerScratch() *workerScratch {
 	ws := &workerScratch{
 		vm:   jvm.New(e.cfg.RefSpec),
@@ -432,7 +413,6 @@ func (e *engine) newWorkerScratch() *workerScratch {
 		lctx: jimple.NewLowerCtx(),
 	}
 	ws.vm.SetRecorder(ws.rec)
-	ws.vm.SetVerifyMemo(e.vmemo)
 	if e.timing {
 		// Per-phase reference-VM histograms (jvm.<spec>.phase.*_ns)
 		// land in the shared registry next to the stage spans;

@@ -90,36 +90,6 @@ func (r *Recorder) Reset() {
 	r.dirtyEdge = r.dirtyEdge[:0]
 }
 
-// HitSets copies out the sets of statement and branch-edge indices with
-// nonzero counts, in hit order. The returned slices are the caller's to
-// keep — they do not alias the recorder's dirty lists, so a later Reset
-// or further recording cannot mutate them.
-func (r *Recorder) HitSets() (stmts, edges []uint32) {
-	if len(r.dirtyStmt) > 0 {
-		stmts = append([]uint32(nil), r.dirtyStmt...)
-	}
-	if len(r.dirtyEdge) > 0 {
-		edges = append([]uint32(nil), r.dirtyEdge...)
-	}
-	return stmts, edges
-}
-
-// ReplayHits marks every listed statement and branch-edge index as hit
-// once, as if the probes had fired live. Counts are set-preserving, not
-// count-preserving — Trace and the uniqueness criteria only read sets,
-// so a replayed recorder snapshots the identical trace.
-func (r *Recorder) ReplayHits(stmts, edges []uint32) {
-	if r == nil {
-		return
-	}
-	for _, i := range stmts {
-		r.Stmt(StmtID(i))
-	}
-	for _, e := range edges {
-		r.Branch(BranchID(e/2), e%2 == 0)
-	}
-}
-
 // Trace snapshots the recorder into an immutable tracefile.
 func (r *Recorder) Trace() *Trace {
 	t := &Trace{}

@@ -7,9 +7,9 @@ import (
 )
 
 // BenchmarkDifftestSequentialReparse is the pre-engine baseline: every
-// VM parses every class itself (5 parses per class). Kept runnable so
-// BENCH_difftest.json and the CI compare gate can quantify the engine's
-// win against it.
+// VM parses every class itself (5 parses per class). Kept runnable as
+// the reference that BenchmarkDifftestSequential, which the CI compare
+// gate watches, shows the parse-once engine's win against.
 func BenchmarkDifftestSequentialReparse(b *testing.B) {
 	classes := mixedCorpus(b)
 	r := NewStandardRunner()

@@ -36,15 +36,6 @@ type Runner struct {
 	// pins down under the race detector.
 	Memo *OutcomeMemo
 
-	// VerifyMemo memoises method-granular verification verdicts below
-	// the whole-class Memo: a class that misses on exact content (every
-	// mutant generation differs somewhere) still reuses the lineage's
-	// verdicts for untouched methods, across all five VMs and across
-	// evaluations. Like Memo it is a pure-function cache shared by
-	// worker clones; unlike Memo it keys by the name-masked method
-	// content (jvm.MethodKey), so renamed-but-identical lineages hit.
-	VerifyMemo *jvm.VerifyMemo
-
 	// reg receives the engine's difftest.* metrics — a private registry
 	// until UseTelemetry attaches an external one; tel caches the
 	// interned handles. vmTiming marks that lineup VMs (and worker
@@ -57,10 +48,9 @@ type Runner struct {
 
 // newRunner wires a private metrics registry around a lineup.
 func newRunner(vms []*jvm.VM) *Runner {
-	r := &Runner{VMs: vms, reg: telemetry.New(), VerifyMemo: jvm.NewVerifyMemo()}
+	r := &Runner{VMs: vms, reg: telemetry.New()}
 	r.tel = newRunnerTel(r.reg, len(vms))
 	jvm.ShareDecodeCache(r.VMs)
-	jvm.ShareVerifyMemo(r.VMs, r.VerifyMemo)
 	return r
 }
 

@@ -92,9 +92,6 @@ func (r *Runner) UseTelemetry(reg *telemetry.Registry) {
 	for _, vm := range r.VMs {
 		vm.SetTelemetry(reg)
 	}
-	if r.VerifyMemo != nil {
-		r.VerifyMemo.UseTelemetry(reg)
-	}
 }
 
 // cloneLineup builds a private copy of the Runner's lineup for one
@@ -110,7 +107,6 @@ func (r *Runner) cloneLineup() []*jvm.VM {
 		}
 	}
 	jvm.ShareDecodeCache(vms)
-	jvm.ShareVerifyMemo(vms, r.VerifyMemo)
 	return vms
 }
 
@@ -121,7 +117,7 @@ func (r *Runner) cloneLineup() []*jvm.VM {
 // state and must not execute concurrently. The parallel delta debugger
 // (internal/reduce) builds its worker pool this way.
 func (r *Runner) Clone() *Runner {
-	return &Runner{VMs: r.cloneLineup(), Memo: r.Memo, VerifyMemo: r.VerifyMemo, reg: r.reg, tel: r.tel, vmTiming: r.vmTiming}
+	return &Runner{VMs: r.cloneLineup(), Memo: r.Memo, reg: r.reg, tel: r.tel, vmTiming: r.vmTiming}
 }
 
 // runLineup executes one classfile on a lineup under the engine's

@@ -18,9 +18,6 @@ type execState struct {
 	// verified memoises per-method lazy verification results keyed by
 	// name+descriptor.
 	verified map[string]*Outcome
-	// vkey lazily caches the class's verification-key context for the
-	// cross-run memo (built on the first verifyMethod call).
-	vkey *VerifyKeyCtx
 }
 
 func newExecState(vm *VM, f *classfile.File) *execState {
@@ -288,14 +285,13 @@ func (ex *execState) platformMethodExists(cls, name, desc string) bool {
 // verifyMethod runs the dataflow verifier over one method, memoising
 // the result for lazy-verification VMs. It returns nil when the method
 // verifies, or the rejection outcome (linking phase; lazy callers
-// re-phase it). With a VerifyMemo attached the verdict is additionally
-// shared across runs at method granularity (verifyMethodMemo).
+// re-phase it).
 func (vm *VM) verifyMethod(ex *execState, m *classfile.Member) *Outcome {
 	key := m.Name(ex.f.Pool) + m.Descriptor(ex.f.Pool)
 	if out, ok := ex.verified[key]; ok {
 		return out
 	}
-	out := vm.verifyMethodMemo(ex, m)
+	out := vm.runVerifier(ex, m)
 	ex.verified[key] = out
 	return out
 }

@@ -45,14 +45,6 @@ type VM struct {
 	// verifier resolves classes through flat Env lookups, it does not
 	// link them.
 	vscratch verifyScratch
-
-	// verifyMemo, when attached via SetVerifyMemo, memoises per-method
-	// verification verdicts across runs (and across VMs sharing the
-	// memo) keyed by MethodKey. vcap is the lazily-created scratch
-	// recorder verifyMethodMemo swaps in to capture the verifier's
-	// probe footprint on a miss.
-	verifyMemo *VerifyMemo
-	vcap       *coverage.Recorder
 }
 
 type platformProbeKey struct{ cls, name string }
@@ -188,10 +180,6 @@ func (vm *VM) Name() string { return vm.Spec.Name }
 // SetRecorder attaches a coverage recorder; pass nil to detach. The
 // recorder is only attached to the reference VM during fuzzing.
 func (vm *VM) SetRecorder(r *coverage.Recorder) { vm.cov = r }
-
-// SetVerifyMemo attaches a method-verification memo (pass nil to
-// detach; verification then always runs the verifier).
-func (vm *VM) SetVerifyMemo(m *VerifyMemo) { vm.verifyMemo = m }
 
 // vmTel holds a VM's interned telemetry handles: a run counter, parse
 // timing, and one histogram per startup-pipeline stage. Stage indices

@@ -17,12 +17,9 @@ import (
 //	                           line in ID order
 //	corpus/subNNNNN.class    — submitted seed classfiles, arrival order
 //	checkpoints/shard-N.json — ShardCheckpoint per shard (mid-epoch)
-//	memo.jsonl               — verify-memo journal: each line holds the
-//	                           method verdicts stored since the line before
 //
 // Every write costs what changed, not what the daemon has accumulated:
-// state.json is fixed-size, a fold appends its own discrepancies, a
-// checkpoint appends only the new memo verdicts.
+// state.json is fixed-size and a fold appends its own discrepancies.
 //
 // Write ordering is the consistency argument. A corpus file is written
 // before the state.json that counts it, inside the critical section
@@ -37,8 +34,7 @@ import (
 // races and are ignored at load. state.json and checkpoints are written
 // to a temp name in the same directory and renamed into place, so a
 // kill -9 at any instant leaves either the old or the new version,
-// never a torn one. memo.jsonl is a cache: a torn last line is cut off
-// at load.
+// never a torn one.
 
 // StateVersion is state.json's format version.
 const StateVersion = 2
@@ -141,7 +137,6 @@ func readJSON(path string, v any) error {
 
 func (m *Manager) statePath() string     { return filepath.Join(m.cfg.DataDir, "state.json") }
 func (m *Manager) discPath() string      { return filepath.Join(m.cfg.DataDir, "discrepancies.jsonl") }
-func (m *Manager) memoPath() string      { return filepath.Join(m.cfg.DataDir, "memo.jsonl") }
 func (m *Manager) corpusDir() string     { return filepath.Join(m.cfg.DataDir, "corpus") }
 func (m *Manager) checkpointDir() string { return filepath.Join(m.cfg.DataDir, "checkpoints") }
 func (m *Manager) checkpointPath(shard int) string {

@@ -37,19 +37,16 @@ const (
 		`"shard_epochs":[3],"next_discrepancy":2}`
 	fuzzDiscs = `{"id":0,"shard":0,"epoch":0,"iteration":4,"class":"A","fingerprint":1,"vector":"00012","outcomes":["a","b"],"cluster":-1}` + "\n" +
 		`{"id":1,"shard":0,"epoch":2,"iteration":9,"class":"B","fingerprint":2,"vector":"11112","outcomes":null,"cluster":-1}` + "\n"
-	// The sig is HotSpot-Java9's (TestVerifyIdentSigPinned).
-	fuzzMemo = `[{"sig":4354067003062725665,"key_lo":1,"key_hi":2,"ok":true},` +
-		`{"sig":4354067003062725665,"key_lo":3,"key_hi":4,"ok":false,"outcome":{"Phase":2,"Error":"java.lang.VerifyError","Message":"x"}}]` + "\n"
 )
 
-// startFuzzed writes the three inputs into a fresh data directory and
+// startFuzzed writes the two inputs into a fresh data directory and
 // starts a daemon on it. A refused start is fine. A start that
 // succeeds must report exactly the committed journal prefix, and after
 // its drain a second start must succeed with the same log: whatever
 // the first start recovered from, it left a consistent directory.
-func startFuzzed(t *testing.T, state, discs, memo []byte) {
+func startFuzzed(t *testing.T, state, discs []byte) {
 	dir := t.TempDir()
-	writeDataDir(t, dir, state, discs, memo)
+	writeDataDir(t, dir, state, discs)
 	m := New(fuzzConfig(dir))
 	if err := m.Start(); err != nil {
 		return
@@ -88,12 +85,10 @@ func startFuzzed(t *testing.T, state, discs, memo []byte) {
 	}
 }
 
-// writeDataDir writes the three persistent files into dir (a nil
-// input leaves its file absent).
-func writeDataDir(t testing.TB, dir string, state, discs, memo []byte) {
-	for name, data := range map[string][]byte{
-		"state.json": state, "discrepancies.jsonl": discs, "memo.jsonl": memo,
-	} {
+// writeDataDir writes state.json and the discrepancy journal into dir
+// (a nil input leaves its file absent).
+func writeDataDir(t testing.TB, dir string, state, discs []byte) {
+	for name, data := range map[string][]byte{"state.json": state, "discrepancies.jsonl": discs} {
 		if data != nil {
 			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
 				t.Fatal(err)
@@ -112,7 +107,7 @@ func FuzzStartState(f *testing.F) {
 		`"iterations":5000,"shards":1,"seed_strategy":"uniform","submitted":0,"shard_epochs":[0],"next_discrepancy":9000000000000}`))
 	f.Add([]byte(""))
 	f.Fuzz(func(t *testing.T, state []byte) {
-		startFuzzed(t, state, []byte(fuzzDiscs), []byte(fuzzMemo))
+		startFuzzed(t, state, []byte(fuzzDiscs))
 	})
 }
 
@@ -125,19 +120,7 @@ func FuzzStartDiscrepancyJournal(f *testing.F) {
 	f.Add([]byte("null\nnull\n"))
 	f.Add([]byte(""))
 	f.Fuzz(func(t *testing.T, discs []byte) {
-		startFuzzed(t, []byte(fuzzState), discs, []byte(fuzzMemo))
-	})
-}
-
-func FuzzStartMemoJournal(f *testing.F) {
-	f.Add([]byte(fuzzMemo))
-	f.Add([]byte(fuzzMemo + fuzzMemo[:30]))
-	f.Add([]byte("garbage\n" + fuzzMemo))
-	f.Add([]byte(`[{"sig":4354067003062725665,"key_lo":5,"key_hi":6,"ok":false}]` + "\n"))
-	f.Add([]byte("[]\n\n"))
-	f.Add([]byte(""))
-	f.Fuzz(func(t *testing.T, memo []byte) {
-		startFuzzed(t, []byte(fuzzState), []byte(fuzzDiscs), memo)
+		startFuzzed(t, []byte(fuzzState), discs)
 	})
 }
 
@@ -191,7 +174,7 @@ func FuzzStartShardCheckpoint(f *testing.F) {
 	f.Add([]byte(""))
 	f.Fuzz(func(t *testing.T, cp []byte) {
 		dir := t.TempDir()
-		writeDataDir(t, dir, []byte(fuzzState), []byte(fuzzDiscs), []byte(fuzzMemo))
+		writeDataDir(t, dir, []byte(fuzzState), []byte(fuzzDiscs))
 		if err := os.MkdirAll(filepath.Join(dir, "checkpoints"), 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +208,7 @@ func FuzzStartShardCheckpoint(f *testing.F) {
 // fuzz daemon's epoch 3 stopped at iteration 40.
 func drainedCheckpoint(f *testing.F) []byte {
 	dir := f.TempDir()
-	writeDataDir(f, dir, []byte(fuzzState), []byte(fuzzDiscs), []byte(fuzzMemo))
+	writeDataDir(f, dir, []byte(fuzzState), []byte(fuzzDiscs))
 	m := New(fuzzConfig(dir))
 	m.stopAt = stopAtHook(map[[2]int]int{{0, 3}: 40})
 	if err := m.Start(); err != nil {

@@ -6,9 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-
-	"repro/internal/difftest"
-	"repro/internal/jvm"
 )
 
 // appendAt writes blob into path at offset size (creating the file),
@@ -105,57 +102,5 @@ func (m *Manager) loadDiscrepancies(n int) error {
 	}
 	m.discSize, m.journaled = size, n
 	m.tel.Gauge(MetricDiscrepancies).Set(int64(n))
-	return nil
-}
-
-// loadMemo replays memo.jsonl into the session verify memo. The memo is
-// a cache, so a torn or undecodable line never fails the start: the
-// replay ends there and the file is cut back to the lines it adopted.
-func (m *Manager) loadMemo() error {
-	var entries []jvm.VerifyMemoExportEntry
-	size, total, err := readLines(m.memoPath(), func(line []byte) bool {
-		var batch []jvm.VerifyMemoExportEntry
-		if json.Unmarshal(line, &batch) != nil {
-			return false
-		}
-		entries = append(entries, batch...)
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	if total > size {
-		if err := os.Truncate(m.memoPath(), size); err != nil {
-			return err
-		}
-		m.logf("memo: cut %d bytes of unreadable journal tail", total-size)
-	}
-	m.memoSize = size
-	if len(entries) > 0 {
-		n := m.session.VerifyMemo.Import(entries, difftest.NewStandardRunner().VMs)
-		m.logf("memo: adopted %d method verdicts from %s", n, m.memoPath())
-	}
-	m.memoMark = m.session.VerifyMemo.Seq()
-	return nil
-}
-
-// persistMemo appends the verdicts stored since the last append as one
-// memo.jsonl line (nothing when there are none).
-func (m *Manager) persistMemo() error {
-	m.memoMu.Lock()
-	defer m.memoMu.Unlock()
-	entries, mark := m.session.VerifyMemo.ExportSince(m.memoMark)
-	if len(entries) > 0 {
-		blob, err := json.Marshal(entries)
-		if err != nil {
-			return err
-		}
-		size, err := appendAt(m.memoPath(), m.memoSize, append(blob, '\n'))
-		if err != nil {
-			return err
-		}
-		m.memoSize = size
-	}
-	m.memoMark = mark
 	return nil
 }

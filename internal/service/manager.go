@@ -31,7 +31,7 @@ const campaignStream = 0x5ec1a55f
 // Config parameterises a daemon.
 type Config struct {
 	// DataDir is the persistent root (created if missing): corpus,
-	// state, discrepancy journal, shard checkpoints, memo journal.
+	// state, discrepancy journal, shard checkpoints.
 	// Required.
 	DataDir string
 	// Addr is the HTTP listen address (e.g. "127.0.0.1:8317"; use
@@ -130,13 +130,6 @@ type Manager struct {
 	shardEpochs []int
 	discWake    chan struct{}
 	queueHWM    int64
-
-	// memoMu serialises memo.jsonl appends; memoMark is the verify
-	// memo's sequence number as of the last append and memoSize the
-	// journal's length.
-	memoMu   sync.Mutex
-	memoMark uint64
-	memoSize int64
 
 	// drainMu serialises "may an epoch still start?" against Stop:
 	// Stop flips stopping under it, shards install their Control under
@@ -253,9 +246,6 @@ func (m *Manager) Start() error {
 		m.seedIndex = idx
 		m.clusterAgg = make([]clusterTallies, idx.Clusters())
 	}
-	if err := m.loadMemo(); err != nil {
-		return err
-	}
 
 	checkpoints := make([]*ShardCheckpoint, m.cfg.Shards)
 	if resuming {
@@ -323,7 +313,7 @@ func (m *Manager) Wait() { m.wg.Wait() }
 // down, every running shard epoch is stopped at a coordinator boundary
 // and checkpointed (or, when it already finished, folded),
 // queued-but-unprocessed seeds are adopted into the corpus, and the
-// memo and state persist. A subsequent Start on the same data
+// state persists. A subsequent Start on the same data
 // directory resumes with byte-identical results.
 func (m *Manager) Stop(ctx context.Context) error {
 	var firstErr error
@@ -364,9 +354,6 @@ func (m *Manager) Stop(ctx context.Context) error {
 			}
 		}
 	drained:
-		if err := m.persistMemo(); err != nil && firstErr == nil {
-			firstErr = err
-		}
 		m.mu.Lock()
 		err := m.commitLocked()
 		m.mu.Unlock()
@@ -759,7 +746,7 @@ func (m *Manager) checkpointShard(sh *shard, stop bool) bool {
 }
 
 // CheckpointNow snapshots every running shard epoch without stopping
-// anything, plus the memo. Returns how many shard checkpoints were
+// anything. Returns how many shard checkpoints were
 // written.
 func (m *Manager) CheckpointNow() int {
 	n := 0
@@ -767,9 +754,6 @@ func (m *Manager) CheckpointNow() int {
 		if m.checkpointShard(sh, false) {
 			n++
 		}
-	}
-	if err := m.persistMemo(); err != nil {
-		m.logf("checkpoint: memo write: %v", err)
 	}
 	return n
 }

@@ -22,7 +22,7 @@ const maxSeedBytes = 1 << 20
 //	GET  /api/status         — shard/corpus/queue/discrepancy counts
 //	GET  /api/discrepancies  — ?since=N lists entries with ID >= N;
 //	                           &wait=1 long-polls for new ones
-//	POST /api/checkpoint     — snapshot every running shard + memo
+//	POST /api/checkpoint     — snapshot every running shard
 //	GET  /metrics.json       — live telemetry (session + running epochs)
 //	GET  /healthz            — liveness
 //	GET  /                   — dashboard

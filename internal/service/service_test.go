@@ -19,7 +19,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/coverage"
 	"repro/internal/jimple"
-	"repro/internal/jvm"
 	"repro/internal/seedgen"
 )
 
@@ -607,59 +606,90 @@ func TestDataDirLock(t *testing.T) {
 	}
 }
 
-// TestMemoPersistsMethodVerdicts pins the daemon's memo.jsonl
-// contract: a completed run persists method verdicts, each verdict in
-// exactly one journal line, and a restart on the same data directory
-// adopts every verdict and, having stored none, leaves the journal
-// byte-identical.
-func TestMemoPersistsMethodVerdicts(t *testing.T) {
-	cfg := testConfig(t, 2)
-	runToCompletion(t, cfg)
+// TestOldMemoJournalIgnored: data directories written while the daemon
+// kept a method-verification memo may still hold that memo's
+// journal, here with valid verdict lines, a garbage line and a torn
+// tail. The daemon starts on such a directory, neither opens nor
+// rewrites the file, and resumes to exactly the status and
+// discrepancies of the same directory without it.
+func TestOldMemoJournalIgnored(t *testing.T) {
+	cfg := testConfig(t, 1)
+	stoppedLifetime(t, cfg, map[[2]int]int{{0, 1}: 5, {1, 0}: 37})
+	bare := cfg
+	bare.DataDir = t.TempDir()
+	copyDir(t, cfg.DataDir, bare.DataDir)
 
-	memoPath := filepath.Join(cfg.DataDir, "memo.jsonl")
-	first, err := os.ReadFile(memoPath)
-	if err != nil {
-		t.Fatalf("memo.jsonl missing after run: %v", err)
-	}
-	keys := map[[3]uint64]bool{}
-	for _, line := range bytes.SplitAfter(first, []byte("\n")) {
-		if len(line) == 0 {
-			continue
-		}
-		var batch []jvm.VerifyMemoExportEntry
-		if err := json.Unmarshal(line, &batch); err != nil {
-			t.Fatalf("memo.jsonl line %q: %v", line, err)
-		}
-		for _, e := range batch {
-			k := [3]uint64{e.Sig, e.KeyLo, e.KeyHi}
-			if keys[k] {
-				t.Fatalf("verdict %x journaled twice", k)
-			}
-			keys[k] = true
-		}
-	}
-	if len(keys) == 0 {
-		t.Fatal("memo.jsonl carries no method verdicts")
-	}
-
-	// Restart on the exhausted directory: loadMemo adopts, no epochs
-	// run, Stop appends nothing.
-	m2 := New(cfg)
-	if err := m2.Start(); err != nil {
+	// Verdict batches as the memo journaled them (the sig is
+	// HotSpot-Java9's), then a garbage line and a torn tail.
+	memo := []byte(`[{"sig":4354067003062725665,"key_lo":1,"key_hi":2,"ok":true},` +
+		`{"sig":4354067003062725665,"key_lo":3,"key_hi":4,"ok":false,"outcome":{"Phase":2,"Error":"java.lang.VerifyError","Message":"x"}}]` + "\n" +
+		`[{"sig":4354067003062725665,"key_lo":5,"key_hi":6,"ok":true}]` + "\n" +
+		"garbage\n" +
+		`[{"sig":4354067003062725665,"key_lo":7,"key_hi":8,"o`)
+	path := filepath.Join(cfg.DataDir, "memo.jsonl")
+	if err := os.WriteFile(path, memo, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	m2.Wait()
-	if got := m2.Session().VerifyMemo.Len(); got != len(keys) {
-		t.Fatalf("restart adopted %d method verdicts, persisted %d", got, len(keys))
-	}
-	if err := m2.Stop(context.Background()); err != nil {
+	// An old access time shows a read on filesystems that record one.
+	old := time.Date(2001, 1, 1, 0, 0, 0, 0, time.UTC)
+	if err := os.Chtimes(path, old, old); err != nil {
 		t.Fatal(err)
 	}
-	second, err := os.ReadFile(memoPath)
+	before, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(first, second) {
-		t.Fatal("memo.jsonl not byte-identical across an idle restart")
+
+	_, withMemo := runToCompletion(t, cfg)
+	_, without := runToCompletion(t, bare)
+
+	after, err := os.Stat(path)
+	if err != nil {
+		t.Fatalf("old memo journal gone: %v", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, memo) {
+		t.Fatalf("old memo journal rewritten (read err %v)", err)
+	}
+	if !os.SameFile(before, after) || !after.ModTime().Equal(before.ModTime()) {
+		t.Fatal("old memo journal replaced or modified")
+	}
+	if at, ok := accessTime(after); ok && !at.Equal(old) {
+		t.Fatalf("old memo journal opened for reading (access time %v)", at)
+	}
+
+	if r := restoredCount(withMemo); r != 2 {
+		t.Fatalf("restart restored %d of the 2 drained checkpoints", r)
+	}
+	if got, want := withMemo.Status(), without.Status(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("status with the old memo journal %+v, without %+v", got, want)
+	}
+	if !reflect.DeepEqual(discSet(withMemo.Discrepancies(0)), discSet(without.Discrepancies(0))) {
+		t.Fatal("discrepancies diverge with the old memo journal present")
+	}
+}
+
+// copyDir copies the regular files of the tree at src into dst.
+func copyDir(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		target := filepath.Join(dst, rel)
+		if d.IsDir() {
+			return os.MkdirAll(target, 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(target, data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/coverage"
 	"repro/internal/difftest"
-	"repro/internal/jvm"
 	"repro/internal/telemetry"
 )
 
@@ -48,8 +47,7 @@ const (
 
 // Session aggregates campaign results produced by independent runs —
 // the daemon's shard epochs, or the experiment driver's six campaigns
-// — into one view: a shared method-verification memo, a telemetry
-// roll-up, and the word-OR of every folded campaign's coverage trace.
+// — into one view: a telemetry roll-up and the word-OR of every folded campaign's coverage trace.
 // It keeps no folded result: a producer that needs them (the
 // experiment driver's tables) holds its own, so a long-running daemon's
 // memory does not grow with its fold count. Fold is safe for concurrent
@@ -58,9 +56,6 @@ const (
 type Session struct {
 	mu sync.Mutex
 
-	// VerifyMemo is the method-granular verification memo shared by
-	// every session Runner. The daemon persists it into memo.jsonl.
-	VerifyMemo *jvm.VerifyMemo
 	// Telemetry is the session-wide metrics roll-up. Campaigns run
 	// against private registries which Fold merges in as they finish,
 	// so campaign.* counters here are totals across all folds; every
@@ -78,13 +73,7 @@ func NewSession(reg *telemetry.Registry) *Session {
 	if reg == nil {
 		reg = telemetry.New()
 	}
-	s := &Session{
-		VerifyMemo: jvm.NewVerifyMemo(),
-		Telemetry:  reg,
-		cov:        coverage.NewTrace(),
-	}
-	s.VerifyMemo.UseTelemetry(reg)
-	return s
+	return &Session{Telemetry: reg, cov: coverage.NewTrace()}
 }
 
 // Fold absorbs one finished campaign: its private telemetry registry
@@ -105,11 +94,9 @@ func (s *Session) Fold(res *campaign.Result, reg *telemetry.Registry) {
 }
 
 // Runner builds a standard five-VM differential runner wired to the
-// session's verification memo and metrics roll-up.
+// session's metrics roll-up.
 func (s *Session) Runner() *difftest.Runner {
 	r := difftest.NewStandardRunner()
-	r.VerifyMemo = s.VerifyMemo
-	jvm.ShareVerifyMemo(r.VMs, s.VerifyMemo)
 	r.UseTelemetry(s.Telemetry)
 	return r
 }
